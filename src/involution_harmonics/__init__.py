@@ -19,6 +19,7 @@ from .errors import (
     DomainViolationError,
     InvalidMatrixError,
     InvalidParametersError,
+    InvariantError,
     NotInImageError,
     ResourceLimitError,
     ShapeMismatchError,
@@ -31,13 +32,7 @@ from .frobenius import (
     hilbert_series,
 )
 from .involutions import Involution, count_involutions, involution, involutions
-from .oracle import (
-    graded_character,
-    graded_hilbert,
-    murnaghan_nakayama,
-    oracle_graded_frobenius,
-    verify_monomial_basis,
-)
+from .oracle import graded_hilbert, oracle_graded_frobenius, verify_monomial_basis
 from .partitions import (
     Partition,
     Stripe,
@@ -63,6 +58,7 @@ __all__ = [
     "DomainViolationError",
     "InvalidMatrixError",
     "InvalidParametersError",
+    "InvariantError",
     "Involution",
     "NotInImageError",
     "Partition",
@@ -78,7 +74,6 @@ __all__ = [
     "even_partitions_of",
     "first_lowest_point",
     "frobenius_total",
-    "graded_character",
     "graded_frobenius_positive",
     "graded_frobenius_signed",
     "graded_frobenius_width",
@@ -91,7 +86,6 @@ __all__ = [
     "is_horizontal_stripe",
     "last_lowest_point",
     "matched_pairs",
-    "murnaghan_nakayama",
     "oracle_graded_frobenius",
     "partitions_of",
     "pieri_mult",

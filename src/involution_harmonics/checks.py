@@ -16,6 +16,7 @@ from .bijections import (
     to_nonnegative_stripe,
     to_width_stripe,
 )
+from .errors import InvalidParametersError
 from .frobenius import (
     frobenius_total,
     graded_frobenius_positive,
@@ -40,7 +41,9 @@ from .stripes import (
 
 
 def iter_locus_params(max_n: int) -> Iterator[tuple[int, int]]:
-    """All valid (n, a) with 1 <= n <= max_n."""
+    """All valid (n, a) with 1 <= n <= max_n; max_n below 1 would check nothing."""
+    if max_n < 1:
+        raise InvalidParametersError(f"max_n must be at least 1, got {max_n}")
     for n in range(1, max_n + 1):
         for a in range(n % 2, n + 1, 2):
             yield n, a
@@ -56,6 +59,8 @@ def iter_stripes_up_to(max_size: int) -> Iterator[Stripe]:
 
 def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
     """Three width computations agree; paths reconstruct; matching is complete."""
+    if max_size < 0:
+        raise InvalidParametersError(f"max_size must be at least 0, got {max_size}")
     failures = []
     count = 0
     for s in iter_stripes_up_to(max_size):

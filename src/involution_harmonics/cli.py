@@ -13,7 +13,12 @@ import json
 import sys
 
 from .checks import check_bijections, check_formulas, check_width
-from .errors import InvalidParametersError, ResourceLimitError, check_locus_params
+from .errors import (
+    InvalidParametersError,
+    ResourceLimitError,
+    check_degree_params,
+    check_locus_params,
+)
 from .frobenius import (
     graded_frobenius_positive,
     graded_frobenius_signed,
@@ -138,8 +143,11 @@ def _cmd_check_basis(args) -> int:
 
 
 def _cmd_enumerate_stripes(args) -> int:
-    check_locus_params(args.n, args.a)
     n, a = args.n, args.a
+    if args.d is None:
+        check_locus_params(n, a)
+    else:
+        check_degree_params(n, a, args.d)
     rows = []
     for lam in partitions_of(n):
         for s in even_inner_stripes(lam, n - a):

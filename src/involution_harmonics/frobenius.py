@@ -14,19 +14,18 @@ The ungraded total and the Hilbert series specialize these.
 
 from __future__ import annotations
 
-from .errors import check_locus_params
+from .errors import InvariantError, check_locus_params
 from .partitions import partitions_of, syt_count
 from .schur import (
     QP_ONE,
     QPoly,
     SchurPoly,
+    _accumulate,
     is_nonnegative,
     pieri_mult,
     plethysm_h_h2,
     qp_add,
     qp_shift,
-    schur_add,
-    schur_shift,
     schur_sub,
     truncate_first_part,
 )
@@ -45,9 +44,10 @@ def graded_frobenius_signed(n: int, a: int) -> SchurPoly:
     check_locus_params(n, a)
     total: SchurPoly = {}
     for d in range((n - a) // 2 + 1):
-        total = schur_add(total, schur_shift(signed_term(n, a, d), d))
-    assert is_nonnegative(total), "signed route produced a negative multiplicity"
-    assert all(sum(lam) == n for lam in total)
+        for lam, coeff in signed_term(n, a, d).items():
+            _accumulate(total, lam, qp_shift(coeff, d))
+    if not is_nonnegative(total):
+        raise InvariantError("signed route produced a negative multiplicity")
     return total
 
 
@@ -56,13 +56,10 @@ def graded_frobenius_positive(n: int, a: int) -> SchurPoly:
     total: SchurPoly = {}
     for d in range((n - a) // 2 + 1):
         cap = n - 2 * d + a
-        piece: SchurPoly = {}
         for lam in partitions_of(n, max_first_part=cap):
             count = len(nonnegative_family(lam, d))
             if count:
-                piece[lam] = (count,)
-        total = schur_add(total, schur_shift(piece, d))
-    assert all(sum(lam) == n for lam in total)
+                _accumulate(total, lam, qp_shift((count,), d))
     return total
 
 
@@ -72,9 +69,9 @@ def graded_frobenius_width(n: int, a: int) -> SchurPoly:
     for lam in partitions_of(n):
         for s in even_inner_stripes(lam, n - a):
             exponent, remainder = divmod(n + a - width(s), 2)
-            assert remainder == 0 and 0 <= exponent <= (n - a) // 2
-            total = schur_add(total, {lam: qp_shift(QP_ONE, exponent)})
-    assert all(sum(lam) == n for lam in total)
+            if remainder or not 0 <= exponent <= (n - a) // 2:
+                raise InvariantError(f"width of {s} gives no degree for n={n}, a={a}")
+            _accumulate(total, lam, qp_shift(QP_ONE, exponent))
     return total
 
 

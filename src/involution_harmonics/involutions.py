@@ -84,10 +84,3 @@ def matrix_ones(w: Involution) -> frozenset[tuple[int, int]]:
         cells.add((i, j))
         cells.add((j, i))
     return frozenset(cells)
-
-
-def conjugate_involution(perm: tuple[int, ...], w: Involution) -> Involution:
-    """The involution perm o w o perm^-1; perm maps i to perm[i-1]."""
-    pairs = tuple(sorted(tuple(sorted((perm[i - 1], perm[j - 1]))) for i, j in w.pairs))
-    fixed = tuple(sorted(perm[i - 1] for i in w.fixed))
-    return Involution(w.n, pairs, fixed)

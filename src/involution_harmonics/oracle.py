@@ -1,4 +1,4 @@
-"""Brute-force ground truth: exact ranks and traces of function spaces on the locus.
+"""Brute-force ground truth: exact ranks of invariant function spaces on the locus.
 
 Functions on the locus are spanned by evaluations of matrix-entry monomials.
 Two pointwise identities shrink the degree-d spanning set to one column per
@@ -11,32 +11,48 @@ partial matching with at most d pairs, without changing any span:
   above the diagonal, which is the indicator of a partial matching, or the
   zero function when its index pairs clash.
 
-Full matchings give the point indicators, so the rank saturates at the locus
-size by the top degree; this is asserted, never assumed.  All arithmetic is
-exact: integer fraction-free elimination for ranks, Fractions for traces.
+The Young subgroup S_mu permutes the letters inside consecutive blocks of
+sizes mu_1, mu_2, ...  An S_mu-orbit of partial matchings is recorded by how
+many of its pairs join block b to block c.  The S_mu-invariants of the degree
+filtration F_d are spanned by orbit sums of the columns above, and an
+invariant function is fixed by its values on one point per orbit; the orbit
+sum of type m takes the value prod_k C(P[k], m[k]) on a point of type P.  So
+dim F_d^{S_mu} is an exact integer rank, and Young's rule
+
+    dim F_d^{S_mu} = sum over lambda of K(lambda, mu) * mult_lambda(F_d)
+
+recovers every multiplicity, because the Kostka matrix K is unitriangular in
+decreasing lexicographic order.  For mu = (1^n) the rank increments are the
+graded dimensions themselves.
+
+Full matchings give the indicators of point types, so the rank saturates at
+the number of point types by the top degree; this is checked, never assumed.
+All arithmetic is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import os
-from fractions import Fraction
-from functools import cache, lru_cache
-from math import factorial, gcd, prod
-from typing import NamedTuple
+from math import comb, gcd, prod
 
 from .errors import (
     InvalidParametersError,
+    InvariantError,
     ResourceLimitError,
     ShapeMismatchError,
     check_locus_params,
 )
-from .involutions import Involution, conjugate_involution, involutions
+from .involutions import involutions
 from .partitions import Partition, partitions_of
-from .schur import QPoly, SchurPoly, qp_normal, schur_terms
+from .schur import QP_ONE, QPoly, SchurPoly, pieri_mult, qp_normal, schur_terms
 from .tableaux import candidate_basis
 
 DEFAULT_SIZE_CAP = 6
 SIZE_CAP_ENV = "INVOLUTION_ORACLE_MAX_N"
+
+# An orbit type of partial matchings: ((b, c), pairs joining block b to block c),
+# b <= c, blocks numbered from 0, zero counts left out.
+Matching = tuple[tuple[tuple[int, int], int], ...]
 
 
 def oracle_size_cap(explicit: int | None = None) -> int:
@@ -44,7 +60,14 @@ def oracle_size_cap(explicit: int | None = None) -> int:
     if explicit is not None:
         return explicit
     raw = os.environ.get(SIZE_CAP_ENV)
-    return int(raw) if raw else DEFAULT_SIZE_CAP
+    if not raw:
+        return DEFAULT_SIZE_CAP
+    try:
+        return int(raw)
+    except ValueError:
+        raise InvalidParametersError(
+            f"{SIZE_CAP_ENV} must be an integer, got {raw!r}"
+        ) from None
 
 
 def _check_cap(n: int, size_cap: int | None) -> None:
@@ -56,25 +79,43 @@ def _check_cap(n: int, size_cap: int | None) -> None:
         )
 
 
-def matchings_of_size(n: int, d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """All sets of d disjoint unordered pairs from 1..n, smallest-first order."""
-    out: list[tuple[tuple[int, int], ...]] = []
-    acc: list[tuple[int, int]] = []
+def matchings_of_size(mu: Partition, d: int) -> tuple[Matching, ...]:
+    """The S_mu-orbit types of sets of d disjoint pairs of letters 1..n.
 
-    def rec(avail: tuple[int, ...], need: int) -> None:
+    Block by block, the counts of the keys (b, b), (b, L-1), ..., (b, b+1)
+    are chosen, smallest count first and the last key varying fastest.  For
+    mu = (1^n) each type is one matching, and the order leaves letter b
+    unmatched first, then pairs it with its smallest partner first.
+    """
+    keys = [
+        (b, c) for b in range(len(mu)) for c in (b, *range(len(mu) - 1, b, -1))
+    ]
+    free = list(mu)
+    out: list[Matching] = []
+    acc: list[tuple[tuple[int, int], int]] = []
+
+    def rec(k: int, need: int) -> None:
         if need == 0:
             out.append(tuple(acc))
             return
-        if len(avail) < 2 * need:
+        if k == len(keys):
             return
-        i, rest = avail[0], avail[1:]
-        rec(rest, need)  # i stays unmatched
-        for k in range(len(rest)):
-            acc.append((i, rest[k]))
-            rec(rest[:k] + rest[k + 1 :], need - 1)
-            acc.pop()
+        b, c = keys[k]
+        if 2 * need > sum(free[b:]):
+            return
+        most = free[b] // 2 if b == c else min(free[b], free[c])
+        for m in range(min(most, need) + 1):
+            if m:
+                acc.append(((b, c), m))
+                free[b] -= m
+                free[c] -= m
+            rec(k + 1, need - m)
+            if m:
+                acc.pop()
+                free[b] += m
+                free[c] += m
 
-    rec(tuple(range(1, n + 1)), d)
+    rec(0, d)
     return tuple(out)
 
 
@@ -94,229 +135,93 @@ def _reduce_column(col: list[int], basis: list[tuple[int, list[int]]]) -> list[i
     return v
 
 
-class _EvaluationSpace(NamedTuple):
-    points: tuple[Involution, ...]
-    index: dict[Involution, int]
-    cumulative_ranks: tuple[int, ...]  # after degrees 0, 1, ..., (n-a)/2
-    basis_columns: tuple[tuple[int, ...], ...]  # original 0/1 columns, insert order
-    pivot_rows: tuple[int, ...]
+def invariant_ranks(n: int, a: int, mu: Partition) -> tuple[int, ...]:
+    """dim F_d^{S_mu} for d = 0, 1, ..., (n - a) / 2, by exact elimination.
 
-
-@lru_cache(maxsize=None)
-def _evaluation_space(n: int, a: int) -> _EvaluationSpace:
-    points = involutions(n, a)
-    pair_sets = [frozenset(w.pairs) for w in points]
-    size = len(points)
+    Rows are the point types, columns the orbit sums of degree <= d; the rank
+    must reach the number of point types by the top degree.
+    """
+    check_locus_params(n, a)
+    if sum(mu) != n:
+        raise ShapeMismatchError(f"{mu} is not a composition of {n}")
+    rows = [
+        (dict(p), frozenset(k for k, _ in p))
+        for p in matchings_of_size(mu, (n - a) // 2)
+    ]
+    size = len(rows)
     basis: list[tuple[int, list[int]]] = []
-    basis_columns: list[tuple[int, ...]] = []
-    pivot_rows: list[int] = []
-    cumulative: list[int] = []
+    ranks: list[int] = []
     for d in range((n - a) // 2 + 1):
-        if len(basis_columns) < size:
-            for m in matchings_of_size(n, d):
-                mset = set(m)
-                col = [1 if mset <= ps else 0 for ps in pair_sets]
-                reduced = _reduce_column(list(col), basis)
+        if len(basis) < size:
+            for m in matchings_of_size(mu, d):
+                keys = frozenset(k for k, _ in m)
+                col = [
+                    prod(comb(point[k], c) for k, c in m) if keys <= point_keys else 0
+                    for point, point_keys in rows
+                ]
+                reduced = _reduce_column(col, basis)
                 pivot = next((i for i, x in enumerate(reduced) if x), None)
                 if pivot is not None:
                     basis.append((pivot, reduced))
-                    basis_columns.append(tuple(col))
-                    pivot_rows.append(pivot)
-                    if len(basis_columns) == size:
+                    if len(basis) == size:
                         break
-        cumulative.append(len(basis_columns))
-    assert cumulative[-1] == size  # full matchings are point indicators
-    index = {w: k for k, w in enumerate(points)}
-    return _EvaluationSpace(
-        points, index, tuple(cumulative), tuple(basis_columns), tuple(pivot_rows)
-    )
+        ranks.append(len(basis))
+    if ranks[-1] != size:
+        raise InvariantError(
+            f"rank {ranks[-1]} at the top degree of n={n}, a={a}, mu={mu} "
+            f"does not reach the {size} point types"
+        )
+    return tuple(ranks)
+
+
+def _increments(ranks: tuple[int, ...]) -> QPoly:
+    return qp_normal(r - (ranks[d - 1] if d else 0) for d, r in enumerate(ranks))
+
+
+def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
+    """Graded multiplicities from the invariant ranks of every Young subgroup.
+
+    `ranks` lists the partitions of n in decreasing lexicographic order, so
+    every lambda with K(lambda, mu) != 0 other than mu itself comes before mu.
+    """
+    filtration: dict[Partition, list[int]] = {}
+    out: SchurPoly = {}
+    for mu, r in ranks.items():
+        h_mu: SchurPoly = {(): QP_ONE}
+        for part in mu:
+            h_mu = pieri_mult(h_mu, part)
+        cumulative = list(r)
+        for lam, mult in filtration.items():
+            kostka = h_mu.get(lam, (0,))[0]
+            for d, m in enumerate(mult):
+                cumulative[d] -= kostka * m
+        filtration[mu] = cumulative
+        graded = [m - (cumulative[d - 1] if d else 0) for d, m in enumerate(cumulative)]
+        if any(m < 0 for m in graded):
+            raise InvariantError(f"negative multiplicity of {mu}: {graded}")
+        if any(graded):
+            out[mu] = qp_normal(graded)
+    return out
+
+
+def _all_invariant_ranks(n: int, a: int) -> dict[Partition, tuple[int, ...]]:
+    return {mu: invariant_ranks(n, a, mu) for mu in partitions_of(n)}
 
 
 def graded_hilbert(n: int, a: int, *, size_cap: int | None = None) -> QPoly:
     """Dimensions of the graded pieces, by exact rank increments."""
     check_locus_params(n, a)
     _check_cap(n, size_cap)
-    space = _evaluation_space(n, a)
-    ranks = space.cumulative_ranks
-    return qp_normal(
-        [ranks[0]] + [ranks[d] - ranks[d - 1] for d in range(1, len(ranks))]
-    )
-
-
-def _invert_fraction_matrix(mat: list[list[int]]) -> list[list[Fraction]]:
-    r = len(mat)
-    aug = [
-        [Fraction(mat[i][j]) for j in range(r)]
-        + [Fraction(int(i == j)) for j in range(r)]
-        for i in range(r)
-    ]
-    for col in range(r):
-        pivot = next(i for i in range(col, r) if aug[i][col])
-        aug[col], aug[pivot] = aug[pivot], aug[col]
-        scale = aug[col][col]
-        aug[col] = [x / scale for x in aug[col]]
-        for i in range(r):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return [row[r:] for row in aug]
-
-
-def _cycle_type_representative(cycle_type: Partition, n: int) -> tuple[int, ...]:
-    """A permutation with consecutive cycles of the given lengths."""
-    perm = list(range(1, n + 1))
-    start = 1
-    for k in cycle_type:
-        for i in range(start, start + k - 1):
-            perm[i - 1] = i + 1
-        perm[start + k - 2] = start
-        start += k
-    return tuple(perm)
-
-
-def _inverse_permutation(perm: tuple[int, ...]) -> tuple[int, ...]:
-    inv = [0] * len(perm)
-    for i, image in enumerate(perm, start=1):
-        inv[image - 1] = i
-    return tuple(inv)
-
-
-def graded_character(
-    n: int, a: int, *, size_cap: int | None = None
-) -> list[dict[Partition, int]]:
-    """Character of each graded piece under conjugation, keyed by cycle type.
-
-    The group acts on functions by (g.f)(w) = f(g^-1 w g).  Traces on the
-    degree filtration come from tr(B^-1 B') where B holds the stored basis
-    columns restricted to their pivot rows and B' the same columns permuted
-    by the point action; consecutive differences give the graded characters.
-    """
-    check_locus_params(n, a)
-    _check_cap(n, size_cap)
-    space = _evaluation_space(n, a)
-    classes = partitions_of(n)
-    point_action = {}
-    for cycle_type in classes:
-        rep_inv = _inverse_permutation(_cycle_type_representative(cycle_type, n))
-        point_action[cycle_type] = [
-            space.index[conjugate_involution(rep_inv, w)] for w in space.points
-        ]
-    filtration: list[dict[Partition, Fraction]] = []
-    previous_rank = -1
-    for r in space.cumulative_ranks:
-        if r == previous_rank:
-            filtration.append(filtration[-1])
-            continue
-        b = [
-            [space.basis_columns[k][pr] for k in range(r)]
-            for pr in space.pivot_rows[:r]
-        ]
-        inverse = _invert_fraction_matrix(b)
-        traces: dict[Partition, Fraction] = {}
-        for cycle_type in classes:
-            sigma = point_action[cycle_type]
-            permuted_rows = [sigma[pr] for pr in space.pivot_rows[:r]]
-            trace = Fraction(0)
-            for k in range(r):
-                column = space.basis_columns[k]
-                row_inv = inverse[k]
-                trace += sum(
-                    row_inv[j] * column[permuted_rows[j]] for j in range(r)
-                )
-            traces[cycle_type] = trace
-        filtration.append(traces)
-        previous_rank = r
-    out: list[dict[Partition, int]] = []
-    for d, traces in enumerate(filtration):
-        below = filtration[d - 1] if d else {c: Fraction(0) for c in classes}
-        piece = {}
-        for c in classes:
-            value = traces[c] - below[c]
-            assert value.denominator == 1
-            piece[c] = int(value)
-        out.append(piece)
-    return out
-
-
-def conjugation_character(n: int, a: int) -> dict[Partition, int]:
-    """Fixed points of conjugation per cycle type; the ungraded character."""
-    check_locus_params(n, a)
-    points = involutions(n, a)
-    out = {}
-    for cycle_type in partitions_of(n):
-        rep = _cycle_type_representative(cycle_type, n)
-        out[cycle_type] = sum(1 for w in points if conjugate_involution(rep, w) == w)
-    return out
-
-
-@cache
-def murnaghan_nakayama(shape: Partition, cycle_type: Partition) -> int:
-    """Irreducible character value by border strip recursion."""
-    if sum(shape) != sum(cycle_type):
-        raise ShapeMismatchError(f"{shape} and {cycle_type} have different sizes")
-    if not shape:
-        return 1
-    k, rest = cycle_type[0], cycle_type[1:]
-    total = 0
-    ell = len(shape)
-    beta = [shape[i] + ell - 1 - i for i in range(ell)]
-    beta_set = set(beta)
-    for b in beta:
-        nb = b - k
-        if nb < 0 or nb in beta_set:
-            continue
-        height = sum(1 for c in beta if nb < c < b)
-        new_beta = sorted((nb if c == b else c for c in beta), reverse=True)
-        new_shape = tuple(c - (ell - 1 - i) for i, c in enumerate(new_beta))
-        while new_shape and new_shape[-1] == 0:
-            new_shape = new_shape[:-1]
-        total += (-1) ** height * murnaghan_nakayama(new_shape, rest)
-    return total
-
-
-def cycle_type_order(cycle_type: Partition) -> int:
-    """Centralizer order: product of k^m_k m_k! over the part multiplicities."""
-    mult: dict[int, int] = {}
-    for k in cycle_type:
-        mult[k] = mult.get(k, 0) + 1
-    return prod(k**m * factorial(m) for k, m in mult.items())
-
-
-def frobenius_of_character(chars: list[dict[Partition, int]]) -> SchurPoly:
-    """Schur expansion of a list of per-degree characters.
-
-    Multiplicities come from the inner product against the irreducible
-    characters; non-integral or negative values raise, since genuine modules
-    cannot produce them.
-    """
-    if not chars or not chars[0]:
-        raise InvalidParametersError("need at least one nonempty character")
-    n = sum(next(iter(chars[0])))
-    out: SchurPoly = {}
-    for d, chi in enumerate(chars):
-        for lam in partitions_of(n):
-            value = sum(
-                Fraction(chi[c] * murnaghan_nakayama(lam, c), cycle_type_order(c))
-                for c in partitions_of(n)
-            )
-            if value.denominator != 1 or value < 0:
-                raise InvalidParametersError(
-                    f"multiplicity of {lam} at degree {d} is {value}, not a "
-                    "nonnegative integer"
-                )
-            if value:
-                coeffs = list(out.get(lam, ()))
-                coeffs += [0] * (d + 1 - len(coeffs))
-                coeffs[d] = int(value)
-                out[lam] = tuple(coeffs)
-    return out
+    return _increments(invariant_ranks(n, a, (1,) * n))
 
 
 def oracle_graded_frobenius(
     n: int, a: int, *, size_cap: int | None = None
 ) -> SchurPoly:
-    """Schur expansion of the graded conjugation character, brute force."""
-    return frobenius_of_character(graded_character(n, a, size_cap=size_cap))
+    """Schur expansion of the graded conjugation action, by Young's rule."""
+    check_locus_params(n, a)
+    _check_cap(n, size_cap)
+    return _young_decomposition(_all_invariant_ranks(n, a))
 
 
 def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dict:
@@ -328,7 +233,8 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
     """
     check_locus_params(n, a)
     _check_cap(n, size_cap)
-    hilbert = graded_hilbert(n, a, size_cap=size_cap)
+    ranks = _all_invariant_ranks(n, a)
+    hilbert = _increments(ranks[(1,) * n])
     candidates = candidate_basis(n, a)
     top = (n - a) // 2
     profile = [0] * (top + 1)
@@ -363,9 +269,7 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
         "hilbert": list(hilbert),
         "frobenius": [
             {"partition": list(lam), "coeffs": list(coeff)}
-            for lam, coeff in schur_terms(
-                oracle_graded_frobenius(n, a, size_cap=size_cap)
-            )
+            for lam, coeff in schur_terms(_young_decomposition(ranks))
         ],
         "basis_check": "PASS" if not failures else "FAIL",
         "profile": profile,

@@ -88,12 +88,10 @@ def syt_count(p: Partition) -> int:
 
 def even_inner_stripes(outer: Partition, inner_size: int) -> tuple[Stripe, ...]:
     """Stripes over `outer` whose inner shape is an even partition of `inner_size`."""
-    if inner_size % 2:
-        return ()
     return tuple(
         Stripe(outer, mu)
-        for mu in even_partitions_of(inner_size)
-        if is_horizontal_stripe(outer, mu)
+        for mu in stripe_inners(outer)
+        if sum(mu) == inner_size and is_even_partition(mu)
     )
 
 

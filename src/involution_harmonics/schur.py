@@ -60,22 +60,11 @@ def _accumulate(acc: SchurPoly, lam: Partition, coeff: QPoly) -> None:
         acc.pop(lam, None)
 
 
-def schur_add(f: SchurPoly, g: SchurPoly) -> SchurPoly:
-    out = dict(f)
-    for lam, coeff in g.items():
-        _accumulate(out, lam, coeff)
-    return out
-
-
 def schur_sub(f: SchurPoly, g: SchurPoly) -> SchurPoly:
     out = dict(f)
     for lam, coeff in g.items():
         _accumulate(out, lam, qp_neg(coeff))
     return out
-
-
-def schur_shift(f: SchurPoly, d: int) -> SchurPoly:
-    return {lam: qp_shift(coeff, d) for lam, coeff in f.items()}
 
 
 def h_complete(a: int) -> SchurPoly:

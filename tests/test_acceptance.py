@@ -5,7 +5,6 @@ terminal (past the capture), so a full run leaves a nine-line scoreboard.
 Budgets are wall-clock seconds on an ordinary machine.
 """
 
-import os
 from math import factorial
 from time import perf_counter
 
@@ -26,9 +25,8 @@ from involution_harmonics.frobenius import (
 )
 from involution_harmonics.involutions import involutions
 from involution_harmonics.oracle import (
-    frobenius_of_character,
-    graded_character,
     graded_hilbert,
+    oracle_graded_frobenius,
     verify_monomial_basis,
 )
 from involution_harmonics.partitions import Stripe
@@ -123,18 +121,18 @@ def test_criterion_4_bijection_sweeps(capsys):
 def test_criterion_5_oracle_agreement(capsys):
     t0 = perf_counter()
     problems = []
-    for n, a in _valid_params(6):
+    for n, a in _valid_params(7):
         expansion = graded_frobenius_width(n, a)
-        if graded_hilbert(n, a) != hilbert_series(expansion):
+        if graded_hilbert(n, a, size_cap=7) != hilbert_series(expansion):
             problems.append(f"hilbert mismatch at {(n, a)}")
-        if frobenius_of_character(graded_character(n, a)) != expansion:
+        if oracle_graded_frobenius(n, a, size_cap=7) != expansion:
             problems.append(f"character mismatch at {(n, a)}")
     elapsed = perf_counter() - t0
     ok = not problems and elapsed < 600
     _report(
         capsys, 5, ok,
         f"exact ranks and characters match the formulas for all (n, a) "
-        f"with n <= 6 in {elapsed:.2f}s" + (f"; {problems}" if problems else ""),
+        f"with n <= 7 in {elapsed:.2f}s" + (f"; {problems}" if problems else ""),
     )
 
 
@@ -146,18 +144,14 @@ def test_criterion_6_monomial_basis(capsys):
         for n, a in cases
         if verify_monomial_basis(n, a)["basis_check"] != "PASS"
     ]
-    large = "large run skipped (set RUN_LARGE_ORACLE=1)"
-    if os.environ.get("RUN_LARGE_ORACLE") == "1":
-        report = verify_monomial_basis(8, 0, size_cap=8)
-        if report["basis_check"] != "PASS":
-            failures.append((8, 0))
-        large = "including n=8, a=0"
+    if verify_monomial_basis(8, 0, size_cap=8)["basis_check"] != "PASS":
+        failures.append((8, 0))
     elapsed = perf_counter() - t0
     ok = not failures
     _report(
         capsys, 6, ok,
-        f"candidate monomials form a basis for a=0, n in {{2,4,6}} and all "
-        f"(n, a) with n <= 5, {large}, in {elapsed:.2f}s"
+        f"candidate monomials form a basis for a=0, n in {{2,4,6,8}} and all "
+        f"(n, a) with n <= 5 in {elapsed:.2f}s"
         + (f"; failures: {failures}" if failures else ""),
     )
 

@@ -123,3 +123,29 @@ def test_enumerate_involutions():
     text = run("enumerate", "involutions", "--n", "3", "--a", "1")
     assert text.returncode == 0
     assert text.stdout.rstrip().splitlines()[-1].startswith("count=3")
+
+
+def test_sweeps_that_would_check_nothing_exit_2():
+    for args in [
+        ("check", "formulas", "--max-n", "0"),
+        ("check", "bijections", "--max-n", "0"),
+        ("check", "width", "--max-n", "-3"),
+    ]:
+        out = run(*args)
+        assert out.returncode == 2, args
+        assert out.stdout == ""
+        assert out.stderr.startswith("error:")
+
+
+def test_non_integer_cap_environment_exits_2():
+    out = run("hilb", "--n", "4", "--a", "0", "--method", "oracle",
+              env_extra={"INVOLUTION_ORACLE_MAX_N": "abc"})
+    assert out.returncode == 2
+    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
+
+
+def test_enumerate_stripes_degree_out_of_range_exits_2():
+    out = run("enumerate", "stripes", "--n", "4", "--a", "0", "--d", "9")
+    assert out.returncode == 2
+    assert out.stdout == ""
+    assert out.stderr.startswith("error:")

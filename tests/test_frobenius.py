@@ -73,7 +73,7 @@ def test_populated_top_degree():
 
 
 def test_parameter_validation():
-    for bad in [(4, 3), (4, 5), (0, 0), (3, 0), (-2, 0)]:
+    for bad in [(4, 3), (4, 5), (0, 0), (3, 0), (-2, 0), (True, True)]:
         for route in ROUTES + [frobenius_total]:
             with pytest.raises(InvalidParametersError):
                 route(*bad)

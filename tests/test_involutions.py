@@ -4,12 +4,10 @@ import itertools
 from math import factorial
 
 import pytest
-from hypothesis import given, strategies as st
 
 from involution_harmonics.errors import InvalidParametersError
 from involution_harmonics.involutions import (
     Involution,
-    conjugate_involution,
     count_involutions,
     involution,
     involution_mapping,
@@ -83,22 +81,3 @@ def test_matrix_ones():
         assert {(j, i) for i, j in cells} == cells
         assert sum(i == j for i, j in cells) == 3
 
-
-@given(st.permutations(tuple(range(1, 6))), st.permutations(tuple(range(1, 6))))
-def test_conjugation_is_an_action(p, q):
-    pq = tuple(p[q[i - 1] - 1] for i in range(1, 6))
-    for w in involutions(5, 1)[:7]:
-        one = conjugate_involution(pq, w)
-        two = conjugate_involution(p, conjugate_involution(q, w))
-        assert one == two
-        assert len(one.pairs) == len(w.pairs)
-        assert len(one.fixed) == len(w.fixed)
-
-
-def test_conjugation_is_transitive_on_the_locus():
-    # every involution with the same fixed-point count is reachable
-    base = involutions(4, 0)[0]
-    orbit = {
-        conjugate_involution(p, base) for p in itertools.permutations(range(1, 5))
-    }
-    assert orbit == set(involutions(4, 0))

@@ -1,30 +1,28 @@
-"""Brute-force ground truth: ranks, characters, and basis verification."""
+"""Brute-force ground truth: invariant ranks, Young's rule, and basis verification."""
 
-from fractions import Fraction
+import subprocess
+import sys
 from math import comb, factorial
 
 import pytest
 
 from involution_harmonics.errors import (
-    InvalidParametersError,
+    InvariantError,
     ResourceLimitError,
     ShapeMismatchError,
 )
 from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
 from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import (
-    conjugation_character,
-    cycle_type_order,
-    frobenius_of_character,
-    graded_character,
+    _young_decomposition,
     graded_hilbert,
+    invariant_ranks,
     matchings_of_size,
-    murnaghan_nakayama,
     oracle_graded_frobenius,
     oracle_size_cap,
     verify_monomial_basis,
 )
-from involution_harmonics.partitions import partitions_of, syt_count
+from involution_harmonics.partitions import partitions_of
 
 
 def valid_params(max_n):
@@ -33,15 +31,31 @@ def valid_params(max_n):
             yield n, a
 
 
+def letter_pairs(matching):
+    """A (1^n) orbit type as its pairs of letters 1..n."""
+    assert all(count == 1 for _, count in matching)
+    return tuple((b + 1, c + 1) for (b, c), _ in matching)
+
+
 def test_matchings_of_size():
-    assert matchings_of_size(4, 0) == ((),)
-    assert matchings_of_size(4, 2) == (((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3)))
+    ones = (1,) * 4
+    assert matchings_of_size(ones, 0) == ((),)
+    assert tuple(map(letter_pairs, matchings_of_size(ones, 2))) == (
+        ((1, 2), (3, 4)), ((1, 3), (2, 4)), ((1, 4), (2, 3))
+    )
     for n in range(9):
         for d in range(n // 2 + 1):
-            got = matchings_of_size(n, d)
+            got = tuple(map(letter_pairs, matchings_of_size((1,) * n, d)))
             want = comb(n, 2 * d) * factorial(2 * d) // (2**d * factorial(d))
             assert len(got) == want
             assert len(set(got)) == len(got)
+    # blocks {1,2,3} and {4,5}: two cross pairs, one pair in each block, or
+    # one pair inside the first block and one cross pair
+    assert matchings_of_size((3, 2), 2) == (
+        (((0, 1), 2),),
+        (((0, 0), 1), ((1, 1), 1)),
+        (((0, 0), 1), ((0, 1), 1)),
+    )
 
 
 def test_graded_hilbert_values():
@@ -70,72 +84,45 @@ def test_size_cap_configuration(monkeypatch):
     assert oracle_size_cap(4) == 4  # explicit beats the environment
 
 
-def test_graded_character_values():
-    chars = graded_character(3, 1)
-    assert chars[0] == {(3,): 1, (2, 1): 1, (1, 1, 1): 1}
-    assert chars[1] == {(3,): -1, (2, 1): 0, (1, 1, 1): 2}
-
-
-def test_character_degrees_sum_to_fixed_point_counts():
-    for n, a in valid_params(5):
-        chars = graded_character(n, a)
-        totals = conjugation_character(n, a)
-        assert totals[(1,) * n] == count_involutions(n, a)
-        for cycle_type in partitions_of(n):
-            assert sum(chi[cycle_type] for chi in chars) == totals[cycle_type]
-
-
-def test_murnaghan_nakayama_values():
-    assert murnaghan_nakayama((2, 1), (3,)) == -1
-    assert murnaghan_nakayama((2, 1), (1, 1, 1)) == 2
-    assert murnaghan_nakayama((2, 1), (2, 1)) == 0
-    assert murnaghan_nakayama((), ()) == 1
+def test_invariant_ranks_values():
+    # S_3 has one orbit on the three points of M(3, 1): only constants are invariant
+    assert invariant_ranks(3, 1, (3,)) == (1, 1)
+    assert invariant_ranks(3, 1, (2, 1)) == (1, 2)
+    assert invariant_ranks(3, 1, (1, 1, 1)) == (1, 3)
     with pytest.raises(ShapeMismatchError):
-        murnaghan_nakayama((2, 1), (2,))
+        invariant_ranks(3, 1, (2,))
 
 
-def test_murnaghan_nakayama_dimensions():
-    for n in range(1, 9):
-        for lam in partitions_of(n):
-            assert murnaghan_nakayama(lam, (1,) * n) == syt_count(lam)
+def test_invariant_ranks_saturate_at_the_orbit_count():
+    for n, a in valid_params(6):
+        top = (n - a) // 2
+        assert invariant_ranks(n, a, (1,) * n)[-1] == count_involutions(n, a)
+        for mu in partitions_of(n):
+            assert invariant_ranks(n, a, mu)[-1] == len(matchings_of_size(mu, top))
 
 
-def test_character_orthogonality():
-    for n in range(1, 7):
-        shapes = partitions_of(n)
-        for lam in shapes:
-            for mu in shapes:
-                value = sum(
-                    Fraction(
-                        murnaghan_nakayama(lam, alpha) * murnaghan_nakayama(mu, alpha),
-                        cycle_type_order(alpha),
-                    )
-                    for alpha in shapes
-                )
-                assert value == (1 if lam == mu else 0)
+def test_young_decomposition_rejects_a_negative_multiplicity():
+    # h_(1,1) = s_(2) + s_(1,1), so rank 1 of S_(1,1) with rank 2 of S_(2) is impossible
+    with pytest.raises(InvariantError):
+        _young_decomposition({(2,): (2,), (1, 1): (1,)})
+    # a multiplicity that falls from one degree to the next
+    with pytest.raises(InvariantError):
+        _young_decomposition({(2,): (1, 0), (1, 1): (1, 1)})
+    assert _young_decomposition({(2,): (1, 1), (1, 1): (1, 2)}) == {
+        (2,): (1,), (1, 1): (0, 1)
+    }
 
 
-def test_cycle_type_order_values():
-    assert cycle_type_order((1, 1, 1)) == 6
-    assert cycle_type_order((3,)) == 3
-    assert cycle_type_order((2, 1)) == 2
-    for n in range(1, 8):
-        assert sum(factorial(n) // cycle_type_order(c) for c in partitions_of(n)) == factorial(n)
-
-
-def test_frobenius_of_character_on_irreducibles():
-    for lam in partitions_of(4):
-        chi = {alpha: murnaghan_nakayama(lam, alpha) for alpha in partitions_of(4)}
-        assert frobenius_of_character([chi]) == {lam: (1,)}
-
-
-def test_frobenius_of_character_rejects():
-    with pytest.raises(InvalidParametersError):
-        frobenius_of_character([])
-    with pytest.raises(InvalidParametersError):
-        frobenius_of_character([{(2,): 1, (1, 1): 0}])  # half-integral multiplicity
-    with pytest.raises(InvalidParametersError):
-        frobenius_of_character([{(2,): 1, (1, 1): -1}])  # negative multiplicity
+def test_oracle_raises_when_optimized_and_the_elimination_breaks():
+    # asserts vanish under -O; the saturation check must not
+    code = (
+        "import involution_harmonics.oracle as o\n"
+        "o._reduce_column = lambda col, basis: [0] * len(col)\n"
+        "print(o.graded_hilbert(4, 0))\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode != 0
+    assert "InvariantError" in out.stderr
 
 
 def test_oracle_agrees_with_the_closed_forms():
