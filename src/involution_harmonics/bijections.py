@@ -9,13 +9,19 @@ Two pairs of mutually inverse maps, both acting through the stripe's path:
   family to the stripes of width n - 2d + a with even inner of size n - a,
   through the ascent-descent matching.
 
-All maps validate their domain and assert the constructed image lands where
-it must, so a misreading fails loudly instead of corrupting a sweep.
+All maps validate their domain and check that the constructed image lands
+where it must, raising InvariantError otherwise (also under python -O), so a
+misreading fails loudly instead of corrupting a sweep.
 """
 
 from __future__ import annotations
 
-from .errors import DomainViolationError, InvalidParametersError, check_degree_params
+from .errors import (
+    DomainViolationError,
+    InvalidParametersError,
+    InvariantError,
+    check_degree_params,
+)
 from .partitions import Stripe
 from .stripes import (
     in_nonnegative_family,
@@ -62,9 +68,11 @@ def detach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
         raise DomainViolationError(f"{s} never dips below the axis")
     m = heights.index(low)
     # the two steps into the first lowest point are both descents
-    assert m >= 2 and steps[m - 2] == -1 and steps[m - 1] == -1
+    if not (m >= 2 and steps[m - 2] == -1 and steps[m - 1] == -1):
+        raise InvariantError(f"first lowest point of {s} is not reached by two descents")
     image = stripe_from_columns(s.outer, _ascent_columns(steps) | {m - 1, m})
-    assert in_stripe_family(image, d - 1)
+    if not in_stripe_family(image, d - 1):
+        raise InvariantError(f"detaching from {s} gave {image}, not of degree {d - 1}")
     return image
 
 
@@ -91,9 +99,13 @@ def attach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
             f"last lowest point of {s} sits at x={m}, no room for a domino"
         )
     # the two steps leaving the last lowest point are both ascents
-    assert steps[m] == 1 and steps[m + 1] == 1
+    if not (steps[m] == 1 and steps[m + 1] == 1):
+        raise InvariantError(f"last lowest point of {s} is not left by two ascents")
     image = stripe_from_columns(s.outer, _ascent_columns(steps) - {m + 1, m + 2})
-    assert in_stripe_family(image, d) and not in_nonnegative_family(image, d)
+    if not in_stripe_family(image, d) or in_nonnegative_family(image, d):
+        raise InvariantError(
+            f"attaching to {s} gave {image}, not a degree-{d} stripe that dips"
+        )
     return image
 
 
@@ -111,8 +123,10 @@ def to_width_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     steps = stripe_steps(s)
     kept = {i for i, j in matched_pairs(steps) if j <= window}
     image = stripe_from_columns(s.outer, kept)
-    assert len(kept) == a
-    assert in_width_family(image, n, a, d)
+    if len(kept) != a:
+        raise InvariantError(f"{s} keeps {len(kept)} ascent columns, expected {a}")
+    if not in_width_family(image, n, a, d):
+        raise InvariantError(f"{s} gave {image}, which lacks width {window}")
     return image
 
 
@@ -130,10 +144,12 @@ def to_nonnegative_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     descents = {j for _, j in matched_pairs(steps)}
     # tail descents fill every position from the prefix end to the width,
     # so the kept columns all land inside the stored prefix
-    assert set(range(len(steps) + 1, window + 1)) <= descents
+    if not set(range(len(steps) + 1, window + 1)) <= descents:
+        raise InvariantError(f"{s} leaves a kept column past its stored prefix")
     kept = set(range(1, window + 1)) - descents
     image = stripe_from_columns(s.outer, kept)
-    assert in_nonnegative_family(image, d)
+    if not in_nonnegative_family(image, d):
+        raise InvariantError(f"{s} gave {image}, not a nonnegative degree-{d} stripe")
     return image
 
 

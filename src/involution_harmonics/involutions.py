@@ -6,7 +6,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .errors import check_locus_params
+from .errors import InvariantError, check_locus_params
 
 
 class Involution(NamedTuple):
@@ -65,7 +65,11 @@ def involutions(n: int, a: int) -> tuple[Involution, ...]:
             pairs.pop()
 
     build(tuple(range(1, n + 1)), a)
-    assert len(out) == count_involutions(n, a)
+    expected = count_involutions(n, a)
+    if len(out) != expected:
+        raise InvariantError(
+            f"enumerated {len(out)} involutions of n={n}, a={a}, expected {expected}"
+        )
     return tuple(out)
 
 

@@ -27,7 +27,9 @@ graded dimensions themselves.
 
 Full matchings give the indicators of point types, so the rank saturates at
 the number of point types by the top degree; this is checked, never assumed.
-All arithmetic is exact integer arithmetic.
+The elimination is sparse, fraction-free and exact: a column keeps only its
+non-zero integer entries, each pivot step multiplies through instead of
+dividing, and every reduced column is divided by its content.
 """
 
 from __future__ import annotations
@@ -53,6 +55,9 @@ SIZE_CAP_ENV = "INVOLUTION_ORACLE_MAX_N"
 # An orbit type of partial matchings: ((b, c), pairs joining block b to block c),
 # b <= c, blocks numbered from 0, zero counts left out.
 Matching = tuple[tuple[tuple[int, int], int], ...]
+
+# A sparse column: row index -> non-zero entry.
+Column = dict[int, int]
 
 
 def oracle_size_cap(explicit: int | None = None) -> int:
@@ -119,19 +124,32 @@ def matchings_of_size(mu: Partition, d: int) -> tuple[Matching, ...]:
     return tuple(out)
 
 
-def _reduce_column(col: list[int], basis: list[tuple[int, list[int]]]) -> list[int]:
-    """Eliminate col against the stored pivots, exactly, over the integers."""
+def _reduce_column(col: Column, basis: list[tuple[int, Column]]) -> Column:
+    """Eliminate col against the stored pivots, exactly, over the integers.
+
+    Each pivot whose row is non-zero in the column is cleared by the
+    fraction-free step v <- p * v - c * pvec, with p and c the two entries in
+    that row divided by their gcd and p made positive; it walks only the
+    non-zero entries of the two vectors, and the result is then divided by
+    its content.
+    """
     v = col
     for pivot, pvec in basis:
-        c = v[pivot]
+        c = v.get(pivot)
         if c:
             p = pvec[pivot]
-            v = [p * x - c * y for x, y in zip(v, pvec)]
-            g = 0
-            for x in v:
-                g = gcd(g, x)
+            g = gcd(p, c) if p > 0 else -gcd(p, c)
+            p, c = p // g, c // g
+            v = {i: p * x for i, x in v.items()} if p != 1 else dict(v)
+            for i, y in pvec.items():
+                x = v.get(i, 0) - c * y
+                if x:
+                    v[i] = x
+                else:
+                    del v[i]
+            g = gcd(*v.values())
             if g > 1:
-                v = [x // g for x in v]
+                v = {i: x // g for i, x in v.items()}
     return v
 
 
@@ -149,20 +167,22 @@ def invariant_ranks(n: int, a: int, mu: Partition) -> tuple[int, ...]:
         for p in matchings_of_size(mu, (n - a) // 2)
     ]
     size = len(rows)
-    basis: list[tuple[int, list[int]]] = []
+    basis: list[tuple[int, Column]] = []
     ranks: list[int] = []
     for d in range((n - a) // 2 + 1):
         if len(basis) < size:
             for m in matchings_of_size(mu, d):
                 keys = frozenset(k for k, _ in m)
-                col = [
-                    prod(comb(point[k], c) for k, c in m) if keys <= point_keys else 0
-                    for point, point_keys in rows
-                ]
+                # zeros are left out: C(P[k], m_k) is 0 when a point has too few pairs
+                col = {
+                    i: x
+                    for i, (point, point_keys) in enumerate(rows)
+                    if keys <= point_keys
+                    and (x := prod(comb(point[k], c) for k, c in m))
+                }
                 reduced = _reduce_column(col, basis)
-                pivot = next((i for i, x in enumerate(reduced) if x), None)
-                if pivot is not None:
-                    basis.append((pivot, reduced))
+                if reduced:
+                    basis.append((min(reduced), reduced))
                     if len(basis) == size:
                         break
         ranks.append(len(basis))
@@ -252,15 +272,14 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
         failures.append("candidate monomials collide")
     points = involutions(n, a)
     pair_sets = [frozenset(w.pairs) for w in points]
-    basis: list[tuple[int, list[int]]] = []
+    basis: list[tuple[int, Column]] = []
     for d, monomial in sorted(candidates, key=lambda dm: dm[0]):
-        col = [1 if set(monomial) <= ps else 0 for ps in pair_sets]
+        col = {i: 1 for i, ps in enumerate(pair_sets) if set(monomial) <= ps}
         reduced = _reduce_column(col, basis)
-        pivot = next((i for i, x in enumerate(reduced) if x), None)
-        if pivot is None:
+        if not reduced:
             failures.append(f"degree {d} monomial {monomial} is dependent")
             break
-        basis.append((pivot, reduced))
+        basis.append((min(reduced), reduced))
     while profile and profile[-1] == 0:
         profile.pop()
     report = {

@@ -1,6 +1,8 @@
 """Involutions with a prescribed fixed-point count."""
 
 import itertools
+import subprocess
+import sys
 from math import factorial
 
 import pytest
@@ -81,3 +83,15 @@ def test_matrix_ones():
         assert {(j, i) for i, j in cells} == cells
         assert sum(i == j for i, j in cells) == 3
 
+
+def test_involutions_raises_when_optimized_and_the_count_disagrees():
+    # asserts vanish under -O; the count check must not
+    code = (
+        "import importlib\n"
+        "inv = importlib.import_module('involution_harmonics.involutions')\n"
+        "inv.count_involutions = lambda n, a: 0\n"
+        "print(inv.involutions(4, 0))\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode != 0
+    assert "InvariantError" in out.stderr

@@ -2,9 +2,11 @@
 
 import subprocess
 import sys
+from fractions import Fraction
 from math import comb, factorial
 
 import pytest
+from hypothesis import given, strategies as st
 
 from involution_harmonics.errors import (
     InvariantError,
@@ -14,6 +16,7 @@ from involution_harmonics.errors import (
 from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
 from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import (
+    _reduce_column,
     _young_decomposition,
     graded_hilbert,
     invariant_ranks,
@@ -113,11 +116,48 @@ def test_young_decomposition_rejects_a_negative_multiplicity():
     }
 
 
+def fraction_rank(columns):
+    """Rank by Gaussian elimination over the rationals, a reference for the tests."""
+    rows = [[Fraction(x) for x in col] for col in columns]
+    rank = 0
+    for j in range(len(rows[0]) if rows else 0):
+        pivot = next((i for i in range(rank, len(rows)) if rows[i][j]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for i in range(rank + 1, len(rows)):
+            f = rows[i][j] / rows[rank][j]
+            rows[i] = [x - f * y for x, y in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+@given(st.data())
+def test_reduce_column_keeps_one_pivot_per_rank(data):
+    height = data.draw(st.integers(1, 7))
+    column = st.one_of(
+        st.lists(st.integers(-3, 3), min_size=height, max_size=height),
+        st.just([0] * height),
+    )
+    columns = data.draw(st.lists(column, max_size=9))
+    if columns:
+        columns += data.draw(st.lists(st.sampled_from(columns), max_size=3))
+        columns = data.draw(st.permutations(columns))
+    basis = []
+    for col in columns:
+        reduced = _reduce_column({i: x for i, x in enumerate(col) if x}, basis)
+        assert all(reduced.values())
+        assert not any(pivot in reduced for pivot, _ in basis)
+        if reduced:
+            basis.append((min(reduced), reduced))
+    assert len(basis) == fraction_rank(columns)
+
+
 def test_oracle_raises_when_optimized_and_the_elimination_breaks():
     # asserts vanish under -O; the saturation check must not
     code = (
         "import involution_harmonics.oracle as o\n"
-        "o._reduce_column = lambda col, basis: [0] * len(col)\n"
+        "o._reduce_column = lambda col, basis: {}\n"
         "print(o.graded_hilbert(4, 0))\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)

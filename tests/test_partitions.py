@@ -201,3 +201,15 @@ def test_even_inner_stripes():
                 if is_even_partition(mu) and is_horizontal_stripe(lam, mu)
             }
             assert inners == expected
+
+
+def test_even_inner_stripes_matches_the_filter_definition():
+    for m in range(17):
+        for outer in partitions_of(m):
+            for size in range(-1, m + 2):
+                expected = tuple(
+                    (outer, mu)
+                    for mu in stripe_inners(outer)
+                    if sum(mu) == size and is_even_partition(mu)
+                )
+                assert even_inner_stripes(outer, size) == expected
