@@ -67,7 +67,7 @@ def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
         count += 1
         steps = stripe_steps(s)
         w = width(s)
-        if not (w == width_by_matching(s) == width_by_prefix_sums(s)):
+        if not (w == width_by_matching(steps) == width_by_prefix_sums(steps)):
             failures.append(f"width mismatch on {s}")
         columns = len(steps)
         if not columns <= w <= columns + 2 * (sum(s.outer) - sum(s.inner)):

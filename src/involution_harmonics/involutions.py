@@ -71,20 +71,3 @@ def involutions(n: int, a: int) -> tuple[Involution, ...]:
             f"enumerated {len(out)} involutions of n={n}, a={a}, expected {expected}"
         )
     return tuple(out)
-
-
-def involution_mapping(w: Involution) -> tuple[int, ...]:
-    """The permutation as a tuple: entry i-1 is the image of i."""
-    image = list(range(1, w.n + 1))
-    for i, j in w.pairs:
-        image[i - 1], image[j - 1] = j, i
-    return tuple(image)
-
-
-def matrix_ones(w: Involution) -> frozenset[tuple[int, int]]:
-    """Positions of the ones in the permutation matrix of w."""
-    cells = {(i, i) for i in w.fixed}
-    for i, j in w.pairs:
-        cells.add((i, j))
-        cells.add((j, i))
-    return frozenset(cells)

@@ -21,21 +21,18 @@ class Stripe(NamedTuple):
     inner: Partition
 
 
-def as_partition(parts) -> Partition:
-    """Normalize an iterable into a partition tuple, trimming trailing zeros."""
-    p = tuple(int(x) for x in parts)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    if any(x <= 0 for x in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
-        raise ValueError(f"not a partition: {parts!r}")
-    return p
-
-
 def conjugate(p: Partition) -> Partition:
-    """Transpose of the diagram: entry j-1 counts the parts of size >= j."""
-    if not p:
-        return ()
-    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
+    """Transpose of the diagram: entry j-1 counts the parts of size >= j.
+
+    Row i is the last row of columns p[i+1]+1 .. p[i], which all have length
+    i+1, so the columns come from the row differences in O(rows + columns).
+    """
+    columns: list[int] = []
+    right = 0
+    for length in range(len(p), 0, -1):
+        columns += [length] * (p[length - 1] - right)
+        right = p[length - 1]
+    return tuple(columns)
 
 
 def contains(outer: Partition, inner: Partition) -> bool:
@@ -49,16 +46,25 @@ def is_even_partition(p: Partition) -> bool:
 
 
 def is_horizontal_stripe(outer: Partition, inner: Partition) -> bool:
-    """True iff inner fits inside outer with at most one box left per column."""
-    if not contains(outer, inner):
+    """True iff inner fits inside outer with at most one box left per column.
+
+    That is the row interlacing outer[i+1] <= inner[i] <= outer[i]; inner
+    needs at least len(outer) - 1 rows, since every outer row past the first
+    is positive.
+    """
+    if not contains(outer, inner) or len(inner) < len(outer) - 1:
         return False
-    oc, ic = conjugate(outer), conjugate(inner)
-    return all(oc[j] - (ic[j] if j < len(ic) else 0) <= 1 for j in range(len(oc)))
+    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
 
 
 @cache
 def partitions_of(n: int, max_first_part: int | None = None) -> tuple[Partition, ...]:
-    """All partitions of n, decreasing lexicographic, optionally capping the first part."""
+    """All partitions of n, decreasing lexicographic, optionally capping the first part.
+
+    The cache is unbounded: it keeps every (n, max_first_part) asked for, and
+    the partitions of n grow like exp(pi * sqrt(2n/3)), for the life of the
+    process.
+    """
     if n < 0:
         return ()
     bound = n if max_first_part is None else min(n, max_first_part)

@@ -17,10 +17,6 @@ QP_ZERO: QPoly = ()
 QP_ONE: QPoly = (1,)
 
 
-def qp(*coeffs: int) -> QPoly:
-    return qp_normal(coeffs)
-
-
 def qp_normal(coeffs) -> QPoly:
     out = list(coeffs)
     while out and out[-1] == 0:
@@ -46,10 +42,6 @@ def qp_shift(f: QPoly, d: int) -> QPoly:
 
 def qp_at_one(f: QPoly) -> int:
     return sum(f)
-
-
-def qp_coeff(f: QPoly, d: int) -> int:
-    return f[d] if 0 <= d < len(f) else 0
 
 
 def _accumulate(acc: SchurPoly, lam: Partition, coeff: QPoly) -> None:

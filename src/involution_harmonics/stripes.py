@@ -3,8 +3,8 @@
 Every horizontal stripe outer/inner determines a lattice path read off the
 columns of the outer shape: column j contributes an ascent when it meets the
 stripe and a descent otherwise, and the path continues with descents forever
-past the last column.  Only the first len(conjugate(outer)) steps are stored;
-the descent tail is implicit.
+past the last column.  Only the first outer[0] steps are stored; the descent
+tail is implicit.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from .errors import DomainViolationError, check_degree_params
 from .partitions import (
     Partition,
     Stripe,
-    conjugate,
     even_inner_stripes,
     is_even_partition,
     is_horizontal_stripe,
@@ -25,11 +24,18 @@ _STEP_CHARS = {1: "N", -1: "S"}
 
 
 def stripe_steps(s: Stripe) -> Steps:
-    """The stored prefix of the stripe's path, one step per column of the outer shape."""
-    oc, ic = conjugate(s.outer), conjugate(s.inner)
-    return tuple(
-        1 if oc[j] - (ic[j] if j < len(ic) else 0) == 1 else -1 for j in range(len(oc))
-    )
+    """The stored prefix of the stripe's path, one step per column of the outer shape.
+
+    Requires s to be a horizontal stripe, as every caller guarantees: row i
+    then holds the stripe's boxes in columns inner[i]+1 .. outer[i], each the
+    only one of its column, and every other column is a descent.
+    """
+    outer, inner = s
+    steps = [-1] * (outer[0] if outer else 0)
+    for i, right in enumerate(outer):
+        left = inner[i] if i < len(inner) else 0
+        steps[left:right] = [1] * (right - left)
+    return tuple(steps)
 
 
 def steps_heights(steps: Steps) -> tuple[int, ...]:
@@ -54,23 +60,33 @@ def steps_from_string(text: str) -> Steps:
 def stripe_from_columns(outer: Partition, columns) -> Stripe:
     """The stripe over `outer` whose occupied columns are exactly `columns`.
 
-    Raises DomainViolationError when no horizontal stripe has that column set
-    (a removed box must leave a partition shape behind).
+    Row i holds the bottom boxes of columns outer[i+1]+1 .. outer[i] (0 past
+    the last row), so its inner row ends before the run of chosen columns at
+    the right of that range.  Raises DomainViolationError when no horizontal
+    stripe has that column set: a chosen column left of an unchosen one in
+    the same range would leave no partition shape behind.
     """
-    oc = conjugate(outer)
     cols = set(columns)
-    if not all(isinstance(c, int) and 1 <= c <= len(oc) for c in cols):
+    last = outer[0] if outer else 0
+    if not all(isinstance(c, int) and 1 <= c <= last for c in cols):
         raise DomainViolationError(
             f"columns {sorted(cols)!r} do not all index columns of {outer}"
         )
-    ic = [oc[j] - 1 if j + 1 in cols else oc[j] for j in range(len(oc))]
-    if any(ic[j] < ic[j + 1] for j in range(len(ic) - 1)):
+    inner: list[int] = []
+    for i, right in enumerate(outer):
+        below = outer[i + 1] if i + 1 < len(outer) else 0
+        left = right
+        while left > below and left in cols:
+            left -= 1
+        inner.append(left)
+    # the runs are disjoint, so they cover every chosen column exactly when
+    # their lengths add up to the number of chosen columns
+    if sum(outer) - sum(inner) != len(cols):
         raise DomainViolationError(
             f"columns {sorted(cols)!r} leave no partition shape inside {outer}"
         )
-    while ic and ic[-1] == 0:
-        ic.pop()
-    return Stripe(outer, conjugate(tuple(ic)))
+    # only the last row can be 0, and a partition leaves it out
+    return Stripe(outer, tuple(filter(None, inner)))
 
 
 def matched_pairs(steps: Steps) -> list[tuple[int, int]]:
@@ -105,20 +121,19 @@ def width(s: Stripe) -> int:
     return len(steps) + heights[-1] - min(heights)
 
 
-def width_by_matching(s: Stripe) -> int:
-    """Width directly from the matching; retained as a cross-check for width()."""
-    pairs = matched_pairs(stripe_steps(s))
-    return max(len(stripe_steps(s)), max((j for _, j in pairs), default=0))
+def width_by_matching(steps: Steps) -> int:
+    """Width of a stripe's path straight from the matching; cross-checks width()."""
+    pairs = matched_pairs(steps)
+    return max(len(steps), max((j for _, j in pairs), default=0))
 
 
-def width_by_prefix_sums(s: Stripe) -> int:
-    """Width from the reversed column word; retained as a cross-check for width().
+def width_by_prefix_sums(steps: Steps) -> int:
+    """Width of a stripe's path from the reversed column word; cross-checks width().
 
     Reading the columns right to left as +1/-1 and tracking the running sum,
     the width exceeds the column count by the largest nonnegative prefix sum.
     """
     best = running = 0
-    steps = stripe_steps(s)
     for step in reversed(steps):
         running += step
         best = max(best, running)

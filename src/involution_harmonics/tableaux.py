@@ -5,6 +5,9 @@ columns strictly increasing top to bottom.  RSK is implemented for general
 nonnegative-integer matrices through the sorted two-line array and then
 specialized to the symmetric zero-diagonal case, where the insertion and
 recording tableaux coincide and the shape has even column lengths.
+
+Those identities, and the others the symmetric maps rely on, are checked on
+every result and raise InvariantError when broken, also under python -O.
 """
 
 from __future__ import annotations
@@ -15,11 +18,12 @@ from functools import cache
 from .errors import (
     DomainViolationError,
     InvalidMatrixError,
+    InvariantError,
     NotInImageError,
     ShapeMismatchError,
     check_locus_params,
 )
-from .involutions import Involution, involution, involutions
+from .involutions import Involution, involution
 from .partitions import (
     Partition,
     Stripe,
@@ -79,6 +83,8 @@ def reverse_row_insert(t: Rows, row_index: int) -> tuple[Rows, int]:
     """Inverse insertion starting from the last box of the given row.
 
     The box must be a removable corner; the bumped-out value is returned.
+    Raises NotInImageError when a column of t does not strictly increase, so
+    that no entry above can take the value back.
     """
     rows = list(t)
     if row_index + 1 < len(rows) and len(rows[row_index + 1]) >= len(rows[row_index]):
@@ -89,7 +95,8 @@ def reverse_row_insert(t: Rows, row_index: int) -> tuple[Rows, int]:
     for r in range(row_index - 1, -1, -1):
         row = rows[r]
         k = bisect_left(row, v) - 1  # rightmost entry strictly below v
-        assert k >= 0
+        if k < 0:
+            raise NotInImageError(f"row {r} has no entry below {v}: not a tableau")
         rows[r], v = row[:k] + (v,) + row[k + 1 :], row[k]
     if rows and not rows[-1]:
         rows.pop()
@@ -101,7 +108,9 @@ def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]
 
     Returns the shrunken tableau of shape strip.inner and the extracted values
     in extraction order.  Re-inserting the values in increasing order restores
-    the original tableau.
+    the original tableau.  Each reverse insertion shortens only its own row,
+    and the strip puts at most one box in a column, so every strip box is a
+    corner when its turn comes and the result has shape strip.inner.
     """
     if shape(t) != strip.outer:
         raise ShapeMismatchError(f"tableau shape {shape(t)} is not {strip.outer}")
@@ -115,31 +124,32 @@ def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]
     ]
     cells.sort(key=lambda rc: -rc[1])
     out, values = t, []
-    for r, c in cells:
-        assert len(out[r]) == c  # strip boxes leave in corner order
+    for r, _ in cells:
         out, v = reverse_row_insert(out, r)
         values.append(v)
-    assert shape(out) == strip.inner
     return out, tuple(values)
 
 
 def rsk(biletters) -> tuple[Rows, Rows]:
-    """Row-insertion correspondence on a multiset of (row, column) biletters."""
+    """Row-insertion correspondence on a multiset of (row, column) biletters.
+
+    The recording tableau grows by the box each insertion adds, so it keeps
+    the shape of the insertion tableau.
+    """
     p: Rows = ()
     q: Rows = ()
     for top, bottom in sorted(biletters):
-        p, (r, c) = row_insert(p, bottom)
+        p, (r, _) = row_insert(p, bottom)
         rows = list(q)
         if r == len(rows):
             rows.append(())
-        assert len(rows[r]) == c
         rows[r] = rows[r] + (top,)
         q = tuple(rows)
     return p, q
 
 
 def rsk_inverse(p: Rows, q: Rows) -> list[tuple[int, int]]:
-    """Invert rsk when the recording tableau has distinct entries."""
+    """Invert rsk when the recording tableau is standard on distinct entries."""
     if shape(p) != shape(q):
         raise ShapeMismatchError(f"shapes {shape(p)} and {shape(q)} differ")
     entries = sorted((x for row in q for x in row), reverse=True)
@@ -148,7 +158,10 @@ def rsk_inverse(p: Rows, q: Rows) -> list[tuple[int, int]]:
     biletters = []
     for value in entries:
         r = next(i for i, row in enumerate(q) if value in row)
-        assert q[r][-1] == value  # the largest remaining entry sits at a corner
+        if q[r][-1] != value:
+            raise NotInImageError(
+                f"recording tableau is not standard: {value} does not end its row"
+            )
         rows = list(q)
         rows[r] = rows[r][:-1]
         if rows and not rows[-1]:
@@ -195,8 +208,10 @@ def rsk_symmetric(matrix) -> Rows:
     """
     ones = _symmetric_ones(matrix)
     p, q = rsk(ones)
-    assert p == q
-    assert is_even_partition(conjugate(shape(p)))
+    if p != q:
+        raise InvariantError(f"symmetric matrix gave insertion {p}, recording {q}")
+    if not is_even_partition(conjugate(shape(p))):
+        raise InvariantError(f"zero-diagonal matrix gave odd-column shape {shape(p)}")
     return p
 
 
@@ -211,8 +226,8 @@ def rsk_symmetric_inverse(p: Rows) -> frozenset[tuple[int, int]]:
     if not is_even_partition(conjugate(shape(p))):
         raise NotInImageError(f"shape {shape(p)} has an odd column")
     ones = frozenset(rsk_inverse(p, p))
-    assert all(i != j for i, j in ones)
-    assert all((j, i) in ones for i, j in ones)
+    if any(i == j or (j, i) not in ones for i, j in ones):
+        raise InvariantError(f"preimage of {p} is not symmetric with zero diagonal")
     return ones
 
 
@@ -229,13 +244,18 @@ def involution_tableau_pair(w: Involution) -> tuple[Rows, Stripe]:
     for v in w.fixed:
         q, _ = row_insert(q, v)
     lam, nu = shape(q), shape(p)
-    assert is_horizontal_stripe(lam, nu)
+    if not is_horizontal_stripe(lam, nu):
+        raise InvariantError(f"inserting the fixed points of {w} gave {lam}/{nu}")
     return q, Stripe(lam, nu)
 
 
 @cache
 def standard_tableaux(p: Partition) -> tuple[Rows, ...]:
-    """All standard fillings of the shape, deterministic order."""
+    """All standard fillings of the shape, deterministic order.
+
+    The cache is unbounded: it keeps the fillings of every shape asked for,
+    syt_count(p) of them each, for the life of the process.
+    """
     n = sum(p)
     out: list[Rows] = []
     rows: list[list[int]] = [[] for _ in p]
@@ -269,8 +289,9 @@ def candidate_monomial(p: Rows, strip: Stripe) -> tuple[tuple[int, int], ...]:
         raise DomainViolationError(f"inner shape {shape(rest)} is not even")
     ones = rsk_symmetric_inverse(transpose_tableau(rest))
     pairs = sorted({(min(i, j), max(i, j)) for i, j in ones})
-    assert 2 * len(pairs) == len(ones)
-    assert len({x for pr in pairs for x in pr}) == 2 * len(pairs)
+    letters = {x for pr in pairs for x in pr}
+    if not len(letters) == 2 * len(pairs) == len(ones):
+        raise InvariantError(f"preimage {sorted(ones)} is not a matching")
     return tuple(pairs)
 
 
@@ -285,14 +306,3 @@ def candidate_basis(n: int, a: int) -> list[tuple[int, tuple[tuple[int, int], ..
                 for p in standard_tableaux(lam):
                     out.append((d, candidate_monomial(p, s)))
     return out
-
-
-def image_width_distribution(n: int, a: int) -> dict[int, int]:
-    """How often each width occurs among the stripe images of the involutions."""
-    from .stripes import width
-
-    counts: dict[int, int] = {}
-    for w in involutions(n, a):
-        _, s = involution_tableau_pair(w)
-        counts[width(s)] = counts.get(width(s), 0) + 1
-    return dict(sorted(counts.items()))

@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 
+from involution_harmonics.involutions import count_involutions
+
 
 def run(*args, env_extra=None):
     env = dict(os.environ)
@@ -123,6 +125,19 @@ def test_enumerate_involutions():
     text = run("enumerate", "involutions", "--n", "3", "--a", "1")
     assert text.returncode == 0
     assert text.stdout.rstrip().splitlines()[-1].startswith("count=3")
+
+
+def test_enumerate_involutions_width_histogram():
+    def histogram(n, a):
+        out = run("enumerate", "involutions", "--n", str(n), "--a", str(a),
+                  "--format", "json")
+        assert out.returncode == 0
+        return json.loads(out.stdout)["width_histogram"]
+
+    assert histogram(3, 1) == [[2, 1], [3, 2]]
+    assert histogram(4, 0) == [[1, 1], [2, 2]]
+    for n, a in [(5, 1), (6, 2)]:
+        assert sum(k for _, k in histogram(n, a)) == count_involutions(n, a)
 
 
 def test_sweeps_that_would_check_nothing_exit_2():

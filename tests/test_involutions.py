@@ -12,11 +12,26 @@ from involution_harmonics.involutions import (
     Involution,
     count_involutions,
     involution,
-    involution_mapping,
     involutions,
-    matrix_ones,
 )
 from involution_harmonics.partitions import partitions_of, syt_count
+
+
+def involution_mapping(w: Involution) -> tuple[int, ...]:
+    """The permutation as a tuple: entry i-1 is the image of i."""
+    image = list(range(1, w.n + 1))
+    for i, j in w.pairs:
+        image[i - 1], image[j - 1] = j, i
+    return tuple(image)
+
+
+def matrix_ones(w: Involution) -> frozenset[tuple[int, int]]:
+    """Positions of the ones in the permutation matrix of w."""
+    cells = {(i, i) for i in w.fixed}
+    for i, j in w.pairs:
+        cells.add((i, j))
+        cells.add((j, i))
+    return frozenset(cells)
 
 
 def test_builder_normalizes():

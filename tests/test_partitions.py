@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from involution_harmonics.partitions import (
-    as_partition,
+    Partition,
     conjugate,
     contains,
     even_inner_stripes,
@@ -18,6 +18,32 @@ from involution_harmonics.partitions import (
     stripe_inners,
     syt_count,
 )
+
+
+def as_partition(parts) -> Partition:
+    """Normalize an iterable into a partition tuple, trimming trailing zeros."""
+    p = tuple(int(x) for x in parts)
+    while p and p[-1] == 0:
+        p = p[:-1]
+    if any(x <= 0 for x in p) or any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+        raise ValueError(f"not a partition: {parts!r}")
+    return p
+
+
+def conjugate_by_column_counts(p: Partition) -> Partition:
+    """Reference transpose: entry j-1 counts the parts of size >= j."""
+    if not p:
+        return ()
+    return tuple(sum(1 for x in p if x >= j) for j in range(1, p[0] + 1))
+
+
+def is_horizontal_stripe_by_columns(outer: Partition, inner: Partition) -> bool:
+    """Reference stripe test: every column of outer keeps all but at most one box."""
+    if not contains(outer, inner):
+        return False
+    oc, ic = conjugate_by_column_counts(outer), conjugate_by_column_counts(inner)
+    return all(oc[j] - (ic[j] if j < len(ic) else 0) <= 1 for j in range(len(oc)))
+
 
 partition_st = st.lists(st.integers(1, 10), max_size=7).map(
     lambda xs: tuple(sorted(xs, reverse=True))
@@ -38,6 +64,12 @@ def test_conjugate_values():
     assert conjugate(()) == ()
     assert conjugate((1,)) == (1,)
     assert conjugate((5,)) == (1, 1, 1, 1, 1)
+
+
+def test_conjugate_matches_column_counts():
+    for n in range(15):
+        for p in partitions_of(n):
+            assert conjugate(p) == conjugate_by_column_counts(p)
 
 
 @given(partition_st)
@@ -135,8 +167,9 @@ def test_syt_squares_sum_to_factorial(n):
 
 
 def test_horizontal_stripe_matches_interlacing():
-    # one box per column is the same as mu_i >= lam_{i+1} row interlacing
-    for n in range(11):
+    # one box per column is the same as mu_i >= lam_{i+1} row interlacing;
+    # every containing pair, stripe or not, meets the column-count reference
+    for n in range(15):
         for lam in partitions_of(n):
             for m in range(n + 1):
                 for mu in partitions_of(m):
@@ -145,6 +178,8 @@ def test_horizontal_stripe_matches_interlacing():
                         for i in range(len(lam) - 1)
                     )
                     assert is_horizontal_stripe(lam, mu) == interlaced
+                    if contains(lam, mu):
+                        assert interlaced == is_horizontal_stripe_by_columns(lam, mu)
 
 
 def test_horizontal_strips_over_values():

@@ -8,21 +8,30 @@ from involution_harmonics.partitions import partitions_of, syt_count
 from involution_harmonics.schur import (
     QP_ONE,
     QP_ZERO,
+    QPoly,
     h_complete,
     is_nonnegative,
     pieri_mult,
     plethysm_h_h2,
-    qp,
     qp_add,
     qp_at_one,
-    qp_coeff,
     qp_neg,
+    qp_normal,
     qp_shift,
     schur_at_one,
     schur_sub,
     schur_terms,
     truncate_first_part,
 )
+
+
+def qp(*coeffs: int) -> QPoly:
+    return qp_normal(coeffs)
+
+
+def qp_coeff(f: QPoly, d: int) -> int:
+    return f[d] if 0 <= d < len(f) else 0
+
 
 qpoly_st = st.lists(st.integers(-9, 9), max_size=6).map(
     lambda xs: tuple(xs[: len(xs) - next((i for i, x in enumerate(reversed(xs)) if x), len(xs))])

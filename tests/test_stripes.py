@@ -1,10 +1,17 @@
 """Paths, matchings, and the width statistic."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, strategies as st
 
 from involution_harmonics.errors import DomainViolationError
-from involution_harmonics.partitions import Stripe, partitions_of, stripe_inners
+from involution_harmonics.partitions import (
+    Stripe,
+    conjugate,
+    partitions_of,
+    stripe_inners,
+)
 from involution_harmonics.stripes import (
     in_nonnegative_family,
     in_stripe_family,
@@ -26,6 +33,14 @@ from involution_harmonics.stripes import (
 REFERENCE = Stripe((10, 9, 6, 4, 4, 3), (10, 6, 4, 4, 4, 2))
 
 
+def stripe_steps_by_columns(s):
+    """Reference path: column j ascends when it lost exactly one box to the stripe."""
+    oc, ic = conjugate(s.outer), conjugate(s.inner)
+    return tuple(
+        1 if oc[j] - (ic[j] if j < len(ic) else 0) == 1 else -1 for j in range(len(oc))
+    )
+
+
 def test_reference_path():
     assert steps_to_string(stripe_steps(REFERENCE)) == "SSNSNNNNNS"
 
@@ -36,9 +51,10 @@ def test_reference_matching():
 
 
 def test_reference_width():
+    steps = stripe_steps(REFERENCE)
     assert width(REFERENCE) == 14
-    assert width_by_matching(REFERENCE) == 14
-    assert width_by_prefix_sums(REFERENCE) == 14
+    assert width_by_matching(steps) == 14
+    assert width_by_prefix_sums(steps) == 14
 
 
 def test_small_width():
@@ -68,6 +84,11 @@ def all_stripes(max_size):
                 yield Stripe(outer, inner)
 
 
+def test_stripe_steps_match_column_counts():
+    for s in all_stripes(14):
+        assert stripe_steps(s) == stripe_steps_by_columns(s)
+
+
 def test_matched_pairs_structure():
     for s in all_stripes(9):
         steps = stripe_steps(s)
@@ -90,9 +111,10 @@ def test_matched_pairs_structure():
 def test_width_bounds():
     for s in all_stripes(9):
         w = width(s)
-        columns = len(stripe_steps(s))
+        steps = stripe_steps(s)
+        columns = len(steps)
         assert columns <= w <= columns + 2 * (sum(s.outer) - sum(s.inner))
-        assert w == width_by_matching(s) == width_by_prefix_sums(s)
+        assert w == width_by_matching(steps) == width_by_prefix_sums(steps)
 
 
 def test_stripe_from_columns_reconstructs():
@@ -100,6 +122,43 @@ def test_stripe_from_columns_reconstructs():
         steps = stripe_steps(s)
         ascents = {j for j, step in enumerate(steps, 1) if step == 1}
         assert stripe_from_columns(s.outer, ascents) == s
+
+
+def stripe_from_columns_by_column_counts(outer, columns):
+    """Reference: shorten each chosen column by one box, then transpose back."""
+    oc = conjugate(outer)
+    cols = set(columns)
+    if not all(isinstance(c, int) and 1 <= c <= len(oc) for c in cols):
+        raise DomainViolationError(
+            f"columns {sorted(cols)!r} do not all index columns of {outer}"
+        )
+    ic = [oc[j] - 1 if j + 1 in cols else oc[j] for j in range(len(oc))]
+    if any(ic[j] < ic[j + 1] for j in range(len(ic) - 1)):
+        raise DomainViolationError(
+            f"columns {sorted(cols)!r} leave no partition shape inside {outer}"
+        )
+    while ic and ic[-1] == 0:
+        ic.pop()
+    return Stripe(outer, conjugate(tuple(ic)))
+
+
+def test_stripe_from_columns_matches_column_counts():
+    # every column set over every outer shape of at most 11 boxes, plus one
+    # column past the shape: same stripe, or the same rejection
+    def outcome(build, outer, cols):
+        try:
+            return build(outer, cols)
+        except DomainViolationError as exc:
+            return str(exc)
+
+    for m in range(12):
+        for outer in partitions_of(m):
+            span = range(1, (outer[0] if outer else 0) + 2)
+            for k in range(len(span) + 1):
+                for cols in combinations(span, k):
+                    assert outcome(stripe_from_columns, outer, cols) == outcome(
+                        stripe_from_columns_by_column_counts, outer, cols
+                    )
 
 
 def test_stripe_from_columns_rejects():

@@ -1,6 +1,8 @@
 """Row insertion, symmetric RSK, and the candidate monomial basis."""
 
 import itertools
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -24,7 +26,6 @@ from involution_harmonics.partitions import (
 from involution_harmonics.tableaux import (
     candidate_basis,
     candidate_monomial,
-    image_width_distribution,
     involution_tableau_pair,
     is_standard_on_content,
     reverse_insert_strip,
@@ -52,6 +53,8 @@ def test_reverse_row_insert():
     assert reverse_row_insert(((1, 2, 3),), 0) == (((1, 2),), 3)
     with pytest.raises(ShapeMismatchError):
         reverse_row_insert(((1, 2), (3, 4)), 0)  # not a removable corner
+    with pytest.raises(NotInImageError):
+        reverse_row_insert(((2,), (1,)), 1)  # the column decreases
 
 
 def test_reverse_insert_strip_values():
@@ -121,6 +124,8 @@ def test_rsk_inverse_rejects():
         rsk_inverse(((1, 2),), ((1,), (2,)))
     with pytest.raises(NotInImageError):
         rsk_inverse(((1, 1),), ((1, 1),))  # repeated recording entries
+    with pytest.raises(NotInImageError):
+        rsk_inverse(((1, 2),), ((2, 1),))  # the largest entry ends no row
 
 
 def test_rsk_symmetric_values():
@@ -186,12 +191,17 @@ def test_tableau_pair_is_injective_and_onto_count():
             assert len(seen) == count_involutions(n, a)
 
 
-def test_image_width_distribution():
-    assert image_width_distribution(3, 1) == {2: 1, 3: 2}
-    assert image_width_distribution(4, 0) == {1: 1, 2: 2}
-    for n, a in [(5, 1), (6, 2)]:
-        counts = image_width_distribution(n, a)
-        assert sum(counts.values()) == count_involutions(n, a)
+def test_involution_tableau_pair_raises_when_optimized_and_rsk_breaks():
+    # asserts vanish under -O; the symmetry check must not
+    code = (
+        "import involution_harmonics.tableaux as t\n"
+        "from involution_harmonics.involutions import involution\n"
+        "t.rsk = lambda biletters: (((1,), (2,)), ((1, 2),))\n"
+        "print(t.involution_tableau_pair(involution(2, [(1, 2)])))\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode != 0
+    assert "InvariantError" in out.stderr
 
 
 def test_candidate_monomial_values():
