@@ -22,14 +22,24 @@ dim F_d^{S_mu} is an exact integer rank, and Young's rule
     dim F_d^{S_mu} = sum over lambda of K(lambda, mu) * mult_lambda(F_d)
 
 recovers every multiplicity, because the Kostka matrix K is unitriangular in
-decreasing lexicographic order.  For mu = (1^n) the rank increments are the
-graded dimensions themselves.
+decreasing lexicographic order.
 
-Full matchings give the indicators of point types, so the rank saturates at
-the number of point types by the top degree; this is checked, never assumed.
-The elimination is sparse, fraction-free and exact: a column keeps only its
-non-zero integer entries, each pivot step multiplies through instead of
-dividing, and every reduced column is divided by its content.
+Full matchings give the indicators of point types, so at the top degree the
+invariants are all functions on the S_mu-orbits of points and dim F_top^{S_mu}
+is the number of orbit types, with no elimination.  Young's rule on these
+counts gives every ungraded multiplicity, and since each F_d lies in F_top, a
+lambda with ungraded multiplicity 0 has multiplicity 0 in every degree.  So
+ranks are eliminated only for the mu that occur.  That leaves out (1^n) for
+n >= 2, whose stabilizers hold a transposition, and the other long mu, which
+carry nearly all of the rank work.  The graded dimensions are Young's rule at mu = (1^n), the sum over lambda of
+K(lambda, 1^n) * mult_lambda(F_d), from the same multiplicities.
+
+Every rank that is computed must saturate at the number of point types by
+the top degree, and every multiplicity, ungraded or graded, must be
+nonnegative; both are checked, never assumed.  The elimination is sparse,
+fraction-free and exact: a column keeps only its non-zero integer entries,
+each pivot step multiplies through instead of dividing, and every reduced
+column is divided by its content.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from .errors import (
 )
 from .involutions import involutions
 from .partitions import Partition, partitions_of
-from .schur import QP_ONE, QPoly, SchurPoly, pieri_mult, qp_normal, schur_terms
+from .schur import QP_ONE, QPoly, SchurPoly, pieri_mult, qp_add, qp_normal, schur_terms
 from .tableaux import candidate_basis
 
 DEFAULT_SIZE_CAP = 6
@@ -61,18 +71,24 @@ Column = dict[int, int]
 
 
 def oracle_size_cap(explicit: int | None = None) -> int:
-    """The largest n the brute force will attempt; env override, else 6."""
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(SIZE_CAP_ENV)
-    if not raw:
-        return DEFAULT_SIZE_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParametersError(
-            f"{SIZE_CAP_ENV} must be an integer, got {raw!r}"
-        ) from None
+    """The largest n the brute force will attempt; env override, else 6.
+
+    A cap below 1 would refuse every locus, so it is rejected as a parameter.
+    """
+    cap = explicit
+    if cap is None:
+        raw = os.environ.get(SIZE_CAP_ENV)
+        if not raw:
+            return DEFAULT_SIZE_CAP
+        try:
+            cap = int(raw)
+        except ValueError:
+            raise InvalidParametersError(
+                f"{SIZE_CAP_ENV} must be an integer, got {raw!r}"
+            ) from None
+    if cap < 1:
+        raise InvalidParametersError(f"the oracle size cap must be at least 1, got {cap}")
+    return cap
 
 
 def _check_cap(n: int, size_cap: int | None) -> None:
@@ -194,22 +210,25 @@ def invariant_ranks(n: int, a: int, mu: Partition) -> tuple[int, ...]:
     return tuple(ranks)
 
 
-def _increments(ranks: tuple[int, ...]) -> QPoly:
-    return qp_normal(r - (ranks[d - 1] if d else 0) for d, r in enumerate(ranks))
+def _complete(mu: Partition) -> SchurPoly:
+    """h_mu in the Schur basis; its coefficients are the Kostka numbers K(lambda, mu)."""
+    h: SchurPoly = {(): QP_ONE}
+    for part in mu:
+        h = pieri_mult(h, part)
+    return h
 
 
 def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
-    """Graded multiplicities from the invariant ranks of every Young subgroup.
+    """Graded multiplicities from the invariant ranks of Young subgroups.
 
-    `ranks` lists the partitions of n in decreasing lexicographic order, so
-    every lambda with K(lambda, mu) != 0 other than mu itself comes before mu.
+    `ranks` lists partitions of n in decreasing lexicographic order, so every
+    lambda with K(lambda, mu) != 0 other than mu itself comes before mu; a
+    partition left out is taken to have multiplicity 0 in every degree.
     """
     filtration: dict[Partition, list[int]] = {}
     out: SchurPoly = {}
     for mu, r in ranks.items():
-        h_mu: SchurPoly = {(): QP_ONE}
-        for part in mu:
-            h_mu = pieri_mult(h_mu, part)
+        h_mu = _complete(mu)
         cumulative = list(r)
         for lam, mult in filtration.items():
             kostka = h_mu.get(lam, (0,))[0]
@@ -224,15 +243,29 @@ def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
     return out
 
 
-def _all_invariant_ranks(n: int, a: int) -> dict[Partition, tuple[int, ...]]:
-    return {mu: invariant_ranks(n, a, mu) for mu in partitions_of(n)}
+def _graded_frobenius(n: int, a: int) -> SchurPoly:
+    """Orbit counts at the top degree fix the support; its ranks grade it."""
+    top = (n - a) // 2
+    ungraded = _young_decomposition(
+        {mu: (len(matchings_of_size(mu, top)),) for mu in partitions_of(n)}
+    )
+    return _young_decomposition({mu: invariant_ranks(n, a, mu) for mu in ungraded})
+
+
+def _hilbert(frobenius: SchurPoly, n: int) -> QPoly:
+    """Graded dimensions by Young's rule at mu = (1^n): sum of K(lambda, 1^n) mult_lambda."""
+    kostka = _complete((1,) * n)
+    dims: QPoly = ()
+    for lam, coeff in frobenius.items():
+        dims = qp_add(dims, tuple(kostka[lam][0] * c for c in coeff))
+    return dims
 
 
 def graded_hilbert(n: int, a: int, *, size_cap: int | None = None) -> QPoly:
-    """Dimensions of the graded pieces, by exact rank increments."""
+    """Dimensions of the graded pieces, by Young's rule at (1^n)."""
     check_locus_params(n, a)
     _check_cap(n, size_cap)
-    return _increments(invariant_ranks(n, a, (1,) * n))
+    return _hilbert(_graded_frobenius(n, a), n)
 
 
 def oracle_graded_frobenius(
@@ -241,7 +274,7 @@ def oracle_graded_frobenius(
     """Schur expansion of the graded conjugation action, by Young's rule."""
     check_locus_params(n, a)
     _check_cap(n, size_cap)
-    return _young_decomposition(_all_invariant_ranks(n, a))
+    return _graded_frobenius(n, a)
 
 
 def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dict:
@@ -253,8 +286,8 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
     """
     check_locus_params(n, a)
     _check_cap(n, size_cap)
-    ranks = _all_invariant_ranks(n, a)
-    hilbert = _increments(ranks[(1,) * n])
+    frobenius = _graded_frobenius(n, a)
+    hilbert = _hilbert(frobenius, n)
     candidates = candidate_basis(n, a)
     top = (n - a) // 2
     profile = [0] * (top + 1)
@@ -288,7 +321,7 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
         "hilbert": list(hilbert),
         "frobenius": [
             {"partition": list(lam), "coeffs": list(coeff)}
-            for lam, coeff in schur_terms(_young_decomposition(ranks))
+            for lam, coeff in schur_terms(frobenius)
         ],
         "basis_check": "PASS" if not failures else "FAIL",
         "profile": profile,

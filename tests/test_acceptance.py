@@ -121,18 +121,18 @@ def test_criterion_4_bijection_sweeps(capsys):
 def test_criterion_5_oracle_agreement(capsys):
     t0 = perf_counter()
     problems = []
-    for n, a in _valid_params(8):
+    for n, a in _valid_params(9):
         expansion = graded_frobenius_width(n, a)
-        if graded_hilbert(n, a, size_cap=8) != hilbert_series(expansion):
+        if graded_hilbert(n, a, size_cap=9) != hilbert_series(expansion):
             problems.append(f"hilbert mismatch at {(n, a)}")
-        if oracle_graded_frobenius(n, a, size_cap=8) != expansion:
+        if oracle_graded_frobenius(n, a, size_cap=9) != expansion:
             problems.append(f"character mismatch at {(n, a)}")
     elapsed = perf_counter() - t0
     ok = not problems and elapsed < 600
     _report(
         capsys, 5, ok,
         f"exact ranks and characters match the formulas for all (n, a) "
-        f"with n <= 8 in {elapsed:.2f}s" + (f"; {problems}" if problems else ""),
+        f"with n <= 9 in {elapsed:.2f}s" + (f"; {problems}" if problems else ""),
     )
 
 

@@ -56,6 +56,16 @@ def test_parameter_errors_exit_2():
     assert out.stderr.startswith("error:")
     out = run("grfrob", "--n", "0", "--a", "0")
     assert out.returncode == 2
+    # an oracle size cap below 1 is a bad parameter, not an exceeded cap
+    for args, env in [
+        (("hilb", "--n", "4", "--a", "0", "--method", "oracle", "--cap", "-1"), None),
+        (("grfrob", "--n", "4", "--a", "0", "--method", "oracle", "--cap", "0"), None),
+        (("check", "basis", "--n", "4", "--a", "0", "--cap", "-5"), None),
+        (("check", "basis", "--n", "4", "--a", "0"), {"INVOLUTION_ORACLE_MAX_N": "0"}),
+    ]:
+        out = run(*args, env_extra=env)
+        assert out.returncode == 2, (args, out.stderr)
+        assert out.stderr.startswith("error: the oracle size cap must be at least 1")
 
 
 def test_size_cap_exit_3():

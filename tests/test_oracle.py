@@ -3,12 +3,14 @@
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import accumulate
 from math import comb, factorial
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from involution_harmonics.errors import (
+    InvalidParametersError,
     InvariantError,
     ResourceLimitError,
     ShapeMismatchError,
@@ -16,6 +18,7 @@ from involution_harmonics.errors import (
 from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
 from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import (
+    _complete,
     _reduce_column,
     _young_decomposition,
     graded_hilbert,
@@ -26,6 +29,7 @@ from involution_harmonics.oracle import (
     verify_monomial_basis,
 )
 from involution_harmonics.partitions import partitions_of
+from involution_harmonics.schur import qp_normal
 
 
 def valid_params(max_n):
@@ -85,6 +89,15 @@ def test_size_cap_configuration(monkeypatch):
     monkeypatch.setenv("INVOLUTION_ORACLE_MAX_N", "9")
     assert oracle_size_cap() == 9
     assert oracle_size_cap(4) == 4  # explicit beats the environment
+    # a cap below 1 would refuse every locus: a parameter error, not a size limit
+    for cap in (0, -1):
+        with pytest.raises(InvalidParametersError):
+            graded_hilbert(4, 0, size_cap=cap)
+        with pytest.raises(InvalidParametersError):
+            verify_monomial_basis(4, 0, size_cap=cap)
+    monkeypatch.setenv("INVOLUTION_ORACLE_MAX_N", "0")
+    with pytest.raises(InvalidParametersError):
+        oracle_graded_frobenius(4, 0)
 
 
 def test_invariant_ranks_values():
@@ -154,15 +167,77 @@ def test_reduce_column_keeps_one_pivot_per_rank(data):
 
 
 def test_oracle_raises_when_optimized_and_the_elimination_breaks():
-    # asserts vanish under -O; the saturation check must not
+    # asserts vanish under -O; the saturation check must not, on any entry point
     code = (
         "import involution_harmonics.oracle as o\n"
+        "from involution_harmonics.errors import InvariantError\n"
         "o._reduce_column = lambda col, basis: {}\n"
-        "print(o.graded_hilbert(4, 0))\n"
+        "for f in (o.graded_hilbert, o.oracle_graded_frobenius, o.verify_monomial_basis):\n"
+        "    try:\n"
+        "        f(4, 0)\n"
+        "    except InvariantError:\n"
+        "        print(f.__name__, 'raised')\n"
     )
     out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert out.returncode != 0
-    assert "InvariantError" in out.stderr
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        "graded_hilbert raised",
+        "oracle_graded_frobenius raised",
+        "verify_monomial_basis raised",
+    ]
+
+
+def reference_oracle(n, a):
+    """Ranks of every Young subgroup, Hilbert series from the (1^n) rank increments."""
+    ranks = {mu: invariant_ranks(n, a, mu) for mu in partitions_of(n)}
+    identity = ranks[(1,) * n]
+    hilbert = qp_normal(r - (identity[d - 1] if d else 0) for d, r in enumerate(identity))
+    return _young_decomposition(ranks), hilbert
+
+
+def test_oracle_equals_the_all_subgroup_reference():
+    for n, a in valid_params(7):
+        frobenius, hilbert = reference_oracle(n, a)
+        assert oracle_graded_frobenius(n, a, size_cap=7) == frobenius
+        assert graded_hilbert(n, a, size_cap=7) == hilbert
+        assert verify_monomial_basis(n, a, size_cap=7)["hilbert"] == list(hilbert)
+
+
+def test_skipped_subgroups_have_multiplicity_zero():
+    # Young's rule holds at every mu the oracle does not eliminate for, with
+    # the oracle's multiplicities and none for mu itself
+    skipped = 0
+    for n, a in valid_params(7):
+        frobenius = oracle_graded_frobenius(n, a, size_cap=7)
+        top = (n - a) // 2
+        cumulative = {
+            lam: list(accumulate(coeff + (0,) * (top + 1 - len(coeff))))
+            for lam, coeff in frobenius.items()
+        }
+        for mu in partitions_of(n):
+            if mu in frobenius:
+                continue
+            skipped += 1
+            kostka = _complete(mu)
+            want = tuple(
+                sum(kostka.get(lam, (0,))[0] * m[d] for lam, m in cumulative.items())
+                for d in range(top + 1)
+            )
+            assert invariant_ranks(n, a, mu) == want
+    assert skipped == 102  # of the 151 pairs of (n, a) and mu
+
+
+@settings(deadline=None, max_examples=20)
+@given(
+    st.integers(1, 10).flatmap(
+        lambda n: st.tuples(st.just(n), st.sampled_from(range(n % 2, n + 1, 2)))
+    )
+)
+def test_oracle_matches_the_width_route(locus):
+    n, a = locus
+    expansion = graded_frobenius_width(n, a)
+    assert oracle_graded_frobenius(n, a, size_cap=10) == expansion
+    assert graded_hilbert(n, a, size_cap=10) == hilbert_series(expansion)
 
 
 def test_oracle_agrees_with_the_closed_forms():
