@@ -25,18 +25,19 @@ from .frobenius import (
     hilbert_series,
 )
 from .involutions import count_involutions
-from .partitions import Stripe, partitions_of, stripe_inners
+from .partitions import Partition, Stripe, partitions_of, stripe_inners
 from .schur import qp_at_one, schur_at_one
 from .stripes import (
     in_nonnegative_family,
     matched_pairs,
+    positive_shapes,
     stripe_family,
     stripe_from_columns,
     stripe_steps,
     width,
     width_by_matching,
     width_by_prefix_sums,
-    width_family,
+    width_stripes,
 )
 
 
@@ -115,11 +116,8 @@ def check_formulas(max_n: int = 8) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _check_domino_maps(n: int, a: int, d: int, lam) -> list[str]:
-    family = stripe_family(lam, d)
-    nonneg = [s for s in family if in_nonnegative_family(s, d)]
-    below = [s for s in family if not in_nonnegative_family(s, d)]
-    previous = stripe_family(lam, d - 1)
+def _check_domino_maps(n: int, a: int, d: int, lam, below, previous) -> list[str]:
+    """Detach maps the dipping stripes of degree d onto the whole family at d - 1."""
     problems = []
     images = []
     for s in below:
@@ -131,14 +129,13 @@ def _check_domino_maps(n: int, a: int, d: int, lam) -> list[str]:
             problems.append(f"image lowest point misplaced for {s}")
     if len(set(images)) != len(images) or set(images) != set(previous):
         problems.append(f"domino maps are not a bijection over {lam} at d={d}")
-    if len(family) - len(nonneg) != len(previous):
+    if len(below) != len(previous):
         problems.append(f"family sizes inconsistent over {lam} at d={d}")
     return problems
 
 
-def _check_shadow_maps(n: int, a: int, d: int, lam) -> list[str]:
-    nonneg = [s for s in stripe_family(lam, d) if in_nonnegative_family(s, d)]
-    wide = width_family(lam, n, a, d)
+def _check_shadow_maps(n: int, a: int, d: int, lam, nonneg, wide) -> list[str]:
+    """The shadow maps invert each other between the nonnegative and width families."""
     problems = []
     images = []
     for s in nonneg:
@@ -156,14 +153,22 @@ def check_bijections(max_n: int = 8) -> tuple[bool, list[str]]:
     ok = True
     lines = []
     for n, a in iter_locus_params(max_n):
+        wide: dict[tuple[Partition, int], list[Stripe]] = {}
+        for s, d in width_stripes(n, a):
+            wide.setdefault((s.outer, d), []).append(s)
+        families: dict[tuple[Partition, int], tuple[Stripe, ...]] = {}
         problems = []
         applications = 0
-        for d in range((n - a) // 2 + 1):
-            for lam in partitions_of(n, max_first_part=n - 2 * d + a):
-                if d > 0:
-                    problems += _check_domino_maps(n, a, d, lam)
-                problems += _check_shadow_maps(n, a, d, lam)
-                applications += len(stripe_family(lam, d))
+        for lam, d in positive_shapes(n, a):
+            family = families[lam, d] = stripe_family(lam, d)
+            nonneg, below = [], []
+            for s in family:
+                (nonneg if in_nonnegative_family(s, d) else below).append(s)
+            if d > 0:
+                # lam also fits the wider column cap of degree d - 1: its family is built
+                problems += _check_domino_maps(n, a, d, lam, below, families[lam, d - 1])
+            problems += _check_shadow_maps(n, a, d, lam, nonneg, wide.get((lam, d), ()))
+            applications += len(family)
         if problems:
             ok = False
             lines.extend(f"n={n} a={a}: {p}" for p in problems)

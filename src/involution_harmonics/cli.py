@@ -27,17 +27,19 @@ from .frobenius import (
 )
 from .involutions import involutions
 from .oracle import graded_hilbert, oracle_graded_frobenius, verify_monomial_basis
-from .partitions import partitions_of
 from .schur import SchurPoly, schur_terms
 from .stripes import (
-    even_inner_stripes,
     steps_from_string,
     steps_heights,
     steps_to_string,
     stripe_steps,
     width,
+    width_stripes,
 )
 from .tableaux import involution_tableau_pair
+
+
+_UNCAPPED = "no size cap: the cost grows exponentially in n"
 
 
 def _dumps(obj) -> str:
@@ -117,23 +119,12 @@ def _cmd_hilb(args) -> int:
     return 0
 
 
-def _run_check(ok: bool, lines: list[str]) -> int:
+def _cmd_check_sweep(args) -> int:
+    ok, lines = args.sweep(args.max_n)
     for line in lines:
         print(line)
     print("PASS" if ok else "FAIL")
     return 0 if ok else 1
-
-
-def _cmd_check_formulas(args) -> int:
-    return _run_check(*check_formulas(args.max_n))
-
-
-def _cmd_check_bijections(args) -> int:
-    return _run_check(*check_bijections(args.max_n))
-
-
-def _cmd_check_width(args) -> int:
-    return _run_check(*check_width(args.max_n))
 
 
 def _cmd_check_basis(args) -> int:
@@ -144,26 +135,21 @@ def _cmd_check_basis(args) -> int:
 
 def _cmd_enumerate_stripes(args) -> int:
     n, a = args.n, args.a
-    if args.d is None:
-        check_locus_params(n, a)
-    else:
+    if args.d is not None:
         check_degree_params(n, a, args.d)
     rows = []
-    for lam in partitions_of(n):
-        for s in even_inner_stripes(lam, n - a):
-            w = width(s)
-            degree = (n + a - w) // 2
-            if args.d is not None and degree != args.d:
-                continue
-            rows.append(
-                {
-                    "outer": list(s.outer),
-                    "inner": list(s.inner),
-                    "path": steps_to_string(stripe_steps(s)),
-                    "width": w,
-                    "degree": degree,
-                }
-            )
+    for s, degree in width_stripes(n, a):
+        if args.d is not None and degree != args.d:
+            continue
+        rows.append(
+            {
+                "outer": list(s.outer),
+                "inner": list(s.inner),
+                "path": steps_to_string(stripe_steps(s)),
+                "width": n + a - 2 * degree,
+                "degree": degree,
+            }
+        )
     if args.format == "json":
         print(_dumps({"n": n, "a": a, "stripes": rows}))
         return 0
@@ -217,7 +203,9 @@ def _cmd_enumerate_involutions(args) -> int:
 
 
 def _add_locus_args(parser, with_cap=False) -> None:
-    parser.add_argument("--n", type=int, required=True)
+    parser.add_argument(
+        "--n", type=int, required=True, help=None if with_cap else _UNCAPPED
+    )
     parser.add_argument("--a", type=int, required=True)
     if with_cap:
         parser.add_argument(
@@ -254,19 +242,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     check = sub.add_parser("check", help="run a verification sweep")
     check_sub = check.add_subparsers(dest="what", required=True)
-    formulas = check_sub.add_parser("formulas", help="three formula routes agree")
-    formulas.add_argument("--max-n", type=int, default=8)
-    formulas.set_defaults(func=_cmd_check_formulas)
-    bijections = check_sub.add_parser("bijections", help="stripe bijections invert")
-    bijections.add_argument("--max-n", type=int, default=8)
-    bijections.set_defaults(func=_cmd_check_bijections)
-    width_check = check_sub.add_parser(
-        "width", help="width computations agree on all stripes up to a size"
-    )
-    width_check.add_argument(
-        "--max-n", type=int, default=12, help="largest outer shape size swept"
-    )
-    width_check.set_defaults(func=_cmd_check_width)
+    for name, sweep, default, summary in (
+        ("formulas", check_formulas, 8, "three formula routes agree"),
+        ("bijections", check_bijections, 8, "stripe bijections invert"),
+        ("width", check_width, 12, "width computations agree on stripes of size <= n"),
+    ):
+        sweep_parser = check_sub.add_parser(name, help=summary)
+        sweep_parser.add_argument(
+            "--max-n", type=int, default=default, help=f"largest n swept; {_UNCAPPED}"
+        )
+        sweep_parser.set_defaults(func=_cmd_check_sweep, sweep=sweep)
     basis = check_sub.add_parser("basis", help="candidate monomials form a basis")
     _add_locus_args(basis, with_cap=True)
     basis.set_defaults(func=_cmd_check_basis)

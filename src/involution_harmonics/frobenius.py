@@ -15,7 +15,7 @@ The ungraded total and the Hilbert series specialize these.
 from __future__ import annotations
 
 from .errors import InvariantError, check_locus_params
-from .partitions import partitions_of, syt_count
+from .partitions import syt_count
 from .schur import (
     QP_ONE,
     QPoly,
@@ -29,7 +29,7 @@ from .schur import (
     schur_sub,
     truncate_first_part,
 )
-from .stripes import even_inner_stripes, nonnegative_family, width
+from .stripes import positive_stripes, width_stripes
 
 
 def signed_term(n: int, a: int, d: int) -> SchurPoly:
@@ -51,28 +51,20 @@ def graded_frobenius_signed(n: int, a: int) -> SchurPoly:
     return total
 
 
-def graded_frobenius_positive(n: int, a: int) -> SchurPoly:
-    check_locus_params(n, a)
+def _by_outer(stripes) -> SchurPoly:
+    """Sum of q^d s_outer over (stripe, d) pairs."""
     total: SchurPoly = {}
-    for d in range((n - a) // 2 + 1):
-        cap = n - 2 * d + a
-        for lam in partitions_of(n, max_first_part=cap):
-            count = len(nonnegative_family(lam, d))
-            if count:
-                _accumulate(total, lam, qp_shift((count,), d))
+    for s, d in stripes:
+        _accumulate(total, s.outer, qp_shift(QP_ONE, d))
     return total
+
+
+def graded_frobenius_positive(n: int, a: int) -> SchurPoly:
+    return _by_outer(positive_stripes(n, a))
 
 
 def graded_frobenius_width(n: int, a: int) -> SchurPoly:
-    check_locus_params(n, a)
-    total: SchurPoly = {}
-    for lam in partitions_of(n):
-        for s in even_inner_stripes(lam, n - a):
-            exponent, remainder = divmod(n + a - width(s), 2)
-            if remainder or not 0 <= exponent <= (n - a) // 2:
-                raise InvariantError(f"width of {s} gives no degree for n={n}, a={a}")
-            _accumulate(total, lam, qp_shift(QP_ONE, exponent))
-    return total
+    return _by_outer(width_stripes(n, a))
 
 
 def frobenius_total(n: int, a: int) -> SchurPoly:

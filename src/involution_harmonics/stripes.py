@@ -1,4 +1,4 @@
-"""Step paths of horizontal stripes: matching, width, and the indexing families.
+"""Step paths of horizontal stripes: matching, width, and the indexing sets.
 
 Every horizontal stripe outer/inner determines a lattice path read off the
 columns of the outer shape: column j contributes an ascent when it meets the
@@ -9,13 +9,21 @@ tail is implicit.
 
 from __future__ import annotations
 
-from .errors import DomainViolationError, check_degree_params
+from typing import Iterator
+
+from .errors import (
+    DomainViolationError,
+    InvariantError,
+    check_degree_params,
+    check_locus_params,
+)
 from .partitions import (
     Partition,
     Stripe,
     even_inner_stripes,
     is_even_partition,
     is_horizontal_stripe,
+    partitions_of,
 )
 
 Steps = tuple[int, ...]  # +1 ascent, -1 descent, one entry per column of the outer shape
@@ -172,12 +180,31 @@ def stripe_family(outer: Partition, d: int) -> tuple[Stripe, ...]:
     return even_inner_stripes(outer, 2 * d)
 
 
-def nonnegative_family(outer: Partition, d: int) -> tuple[Stripe, ...]:
-    return tuple(s for s in stripe_family(outer, d) if in_nonnegative_family(s, d))
+def positive_shapes(n: int, a: int) -> Iterator[tuple[Partition, int]]:
+    """Every (outer, d) of the positive formula, d first: outer[0] <= n - 2d + a."""
+    check_locus_params(n, a)
+    for d in range((n - a) // 2 + 1):
+        for outer in partitions_of(n, max_first_part=n - 2 * d + a):
+            yield outer, d
 
 
-def width_family(outer: Partition, n: int, a: int, d: int) -> tuple[Stripe, ...]:
-    check_degree_params(n, a, d)
-    return tuple(
-        s for s in even_inner_stripes(outer, n - a) if width(s) == n - 2 * d + a
-    )
+def positive_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
+    """The positive formula's index set: each nonnegative stripe with its degree d."""
+    for outer, d in positive_shapes(n, a):
+        for s in stripe_family(outer, d):
+            if in_nonnegative_family(s, d):
+                yield s, d
+
+
+def width_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
+    """The width formula's index set: stripes with even inner of size n - a.
+
+    Each comes with its degree d = (n + a - width) / 2; InvariantError if none.
+    """
+    check_locus_params(n, a)
+    for outer in partitions_of(n):
+        for s in even_inner_stripes(outer, n - a):
+            d, odd = divmod(n + a - width(s), 2)
+            if odd or not 0 <= d <= (n - a) // 2:
+                raise InvariantError(f"width of {s} gives no degree for n={n}, a={a}")
+            yield s, d

@@ -21,7 +21,6 @@ from .errors import (
     InvariantError,
     NotInImageError,
     ShapeMismatchError,
-    check_locus_params,
 )
 from .involutions import Involution, involution
 from .partitions import (
@@ -30,9 +29,8 @@ from .partitions import (
     conjugate,
     is_even_partition,
     is_horizontal_stripe,
-    partitions_of,
 )
-from .stripes import nonnegative_family
+from .stripes import positive_stripes
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -297,12 +295,8 @@ def candidate_monomial(p: Rows, strip: Stripe) -> tuple[tuple[int, int], ...]:
 
 def candidate_basis(n: int, a: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
     """Every (degree, monomial) the stripe indexing produces, deterministic order."""
-    check_locus_params(n, a)
-    out = []
-    for d in range((n - a) // 2 + 1):
-        cap = n - 2 * d + a
-        for lam in partitions_of(n, max_first_part=cap):
-            for s in nonnegative_family(lam, d):
-                for p in standard_tableaux(lam):
-                    out.append((d, candidate_monomial(p, s)))
-    return out
+    return [
+        (d, candidate_monomial(p, s))
+        for s, d in positive_stripes(n, a)
+        for p in standard_tableaux(s.outer)
+    ]

@@ -2,6 +2,7 @@
 
 import pytest
 
+from involution_harmonics import checks
 from involution_harmonics.bijections import (
     attach_domino,
     detach_domino,
@@ -12,12 +13,9 @@ from involution_harmonics.bijections import (
 )
 from involution_harmonics.errors import DomainViolationError, InvalidParametersError
 from involution_harmonics.partitions import Stripe, partitions_of
-from involution_harmonics.stripes import (
-    in_nonnegative_family,
-    nonnegative_family,
-    stripe_family,
-    width_family,
-)
+from involution_harmonics.stripes import in_nonnegative_family, stripe_family
+
+from families import nonnegative_family, width_family
 
 
 def valid_triples(max_n, min_d=0):
@@ -101,3 +99,34 @@ def test_shadow_maps_are_inverse_bijections():
                 assert to_nonnegative_stripe(image, n, a, d) == s
                 images.add(image)
             assert images == wide
+
+
+@pytest.mark.parametrize(
+    "name, kind, n, a, d, first, second",
+    [
+        ("to_width_stripe", "width", 4, 2, 1,
+         Stripe((3, 1), (2,)), Stripe((2, 2), (2,))),
+        ("detach_domino", "domino", 7, 3, 2,
+         Stripe((6, 1), (4,)), Stripe((5, 2), (2, 2))),
+    ],
+)
+def test_check_bijections_fails_when_a_map_swaps_two_images(
+    monkeypatch, name, kind, n, a, d, first, second
+):
+    # both stripes lie in the map's domain at (n, a, d), so each wrong image is
+    # still a valid input for the inverse map, and only the sweep's comparisons
+    # can catch it
+    real = getattr(checks, name)
+    partner = {first: second, second: first}
+
+    def swapped(s, n_, a_, d_):
+        return real(partner.get(s, s) if (n_, a_) == (n, a) else s, n_, a_, d_)
+
+    monkeypatch.setattr(checks, name, swapped)
+    ok, lines = checks.check_bijections(n)
+    assert ok is False
+    for s in (first, second):
+        line = f"n={n} a={a}: {kind} maps are not a bijection over {s.outer} at d={d}"
+        assert line in lines
+    others = [line for line in lines if not line.startswith(f"n={n} a={a}: ")]
+    assert others and all("bijections verified" in line for line in others)

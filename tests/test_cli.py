@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 from involution_harmonics.involutions import count_involutions
 
@@ -117,10 +118,24 @@ def test_enumerate_stripes():
     assert json.loads(filtered.stdout)["stripes"] == data["stripes"][1:]
 
 
+ASCII_EXAMPLE = """\
+[4] / [2]  path=SSNN  width=6  degree=0
+  \\  /
+   \\/
+[3, 1] / [2]  path=NSN  width=4  degree=1
+  /\\/
+[2, 2] / [2]  path=NN  width=4  degree=1
+   /
+  /
+"""
+
+
 def test_enumerate_stripes_ascii():
     out = run("enumerate", "stripes", "--n", "4", "--a", "2", "--ascii")
     assert out.returncode == 0
-    assert "\\" in out.stdout or "/" in out.stdout
+    assert out.stdout == ASCII_EXAMPLE
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert "$ invharm enumerate stripes --n 4 --a 2 --ascii\n" + ASCII_EXAMPLE in readme
 
 
 def test_enumerate_involutions():

@@ -1,5 +1,7 @@
 """Paths, matchings, and the width statistic."""
 
+import subprocess
+import sys
 from itertools import combinations
 
 import pytest
@@ -9,6 +11,7 @@ from involution_harmonics.errors import DomainViolationError
 from involution_harmonics.partitions import (
     Stripe,
     conjugate,
+    even_inner_stripes,
     partitions_of,
     stripe_inners,
 )
@@ -17,7 +20,7 @@ from involution_harmonics.stripes import (
     in_stripe_family,
     in_width_family,
     matched_pairs,
-    nonnegative_family,
+    positive_stripes,
     steps_from_string,
     steps_heights,
     steps_to_string,
@@ -27,8 +30,10 @@ from involution_harmonics.stripes import (
     width,
     width_by_matching,
     width_by_prefix_sums,
-    width_family,
+    width_stripes,
 )
+
+from families import nonnegative_family, width_family
 
 REFERENCE = Stripe((10, 9, 6, 4, 4, 3), (10, 6, 4, 4, 4, 2))
 
@@ -218,3 +223,58 @@ def test_families_enumerate_consistently():
                     }
                     wf = width_family(lam, n, a, d)
                     assert all(in_width_family(s, n, a, d) for s in wf)
+
+
+def valid_params(max_n):
+    for n in range(1, max_n + 1):
+        for a in range(n % 2, n + 1, 2):
+            yield n, a
+
+
+def test_positive_stripes_match_the_per_shape_reference():
+    for n, a in valid_params(12):
+        expected = [
+            (s, d)
+            for d in range((n - a) // 2 + 1)
+            for lam in partitions_of(n, max_first_part=n - 2 * d + a)
+            for s in nonnegative_family(lam, d)
+        ]
+        assert list(positive_stripes(n, a)) == expected
+
+
+def test_width_stripes_match_the_per_shape_reference():
+    for n, a in valid_params(12):
+        degrees = range((n - a) // 2 + 1)
+        expected = []
+        for lam in partitions_of(n):
+            families = [width_family(lam, n, a, d) for d in degrees]
+            for s in even_inner_stripes(lam, n - a):
+                # each stripe lies in exactly one width family
+                (d,) = [d for d in degrees if s in families[d]]
+                expected.append((s, d))
+        assert list(width_stripes(n, a)) == expected
+
+
+def test_width_stripes_raise_when_optimized_and_a_width_gives_no_degree():
+    # the parity and range check on (n + a - width) / 2 must survive python -O
+    code = (
+        "import involution_harmonics.stripes as st\n"
+        "from involution_harmonics import cli\n"
+        "from involution_harmonics.errors import InvariantError\n"
+        "from involution_harmonics.frobenius import graded_frobenius_width\n"
+        "true_width = st.width\n"
+        "st.width = lambda s: true_width(s) + 1\n"
+        "calls = {\n"
+        "    'route': lambda: graded_frobenius_width(4, 0),\n"
+        "    'generator': lambda: list(st.width_stripes(4, 0)),\n"
+        "    'cli': lambda: cli.main(['enumerate', 'stripes', '--n', '4', '--a', '0']),\n"
+        "}\n"
+        "for name, call in calls.items():\n"
+        "    try:\n"
+        "        call()\n"
+        "    except InvariantError:\n"
+        "        print(name, 'raised')\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == ["route raised", "generator raised", "cli raised"]
