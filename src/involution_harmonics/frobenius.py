@@ -32,20 +32,21 @@ from .schur import (
 from .stripes import positive_stripes, width_stripes
 
 
-def signed_term(n: int, a: int, d: int) -> SchurPoly:
-    """The truncated degree-d difference of consecutive Pieri products."""
-    check_locus_params(n, a)
-    current = pieri_mult(plethysm_h_h2(d), n - 2 * d)
-    previous = pieri_mult(plethysm_h_h2(d - 1), n - 2 * d + 2)
-    return truncate_first_part(schur_sub(current, previous), n - 2 * d + a)
-
-
 def graded_frobenius_signed(n: int, a: int) -> SchurPoly:
+    """Sum over d of q^d times the truncated difference of consecutive Pieri products.
+
+    The degree-d product h_{n-2d} h_d[h_2] is built once and subtracted again
+    at degree d + 1.
+    """
     check_locus_params(n, a)
     total: SchurPoly = {}
+    previous: SchurPoly = {}
     for d in range((n - a) // 2 + 1):
-        for lam, coeff in signed_term(n, a, d).items():
+        current = pieri_mult(plethysm_h_h2(d), n - 2 * d)
+        term = truncate_first_part(schur_sub(current, previous), n - 2 * d + a)
+        for lam, coeff in term.items():
             _accumulate(total, lam, qp_shift(coeff, d))
+        previous = current
     if not is_nonnegative(total):
         raise InvariantError("signed route produced a negative multiplicity")
     return total

@@ -24,11 +24,12 @@ def involution(n: int, pairs, fixed=None) -> Involution:
     """
     norm = tuple(sorted(tuple(sorted(p)) for p in pairs))
     covered = [x for p in norm for x in p]
-    if len(set(covered)) != len(covered):
+    covered_set = set(covered)
+    if len(covered_set) != len(covered):
         raise ValueError(f"pairs {pairs!r} are not disjoint")
     if any(x < 1 or x > n for x in covered):
         raise ValueError(f"pairs {pairs!r} do not fit inside 1..{n}")
-    rest = tuple(x for x in range(1, n + 1) if x not in set(covered))
+    rest = tuple(x for x in range(1, n + 1) if x not in covered_set)
     if fixed is not None and tuple(sorted(fixed)) != rest:
         raise ValueError(f"fixed points {fixed!r} disagree with pairs {pairs!r}")
     return Involution(n, norm, rest)

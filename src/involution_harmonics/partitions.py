@@ -11,6 +11,8 @@ from itertools import accumulate, product
 from math import factorial, prod
 from typing import Iterator, NamedTuple
 
+from .errors import InvalidParametersError
+
 Partition = tuple[int, ...]
 
 
@@ -126,31 +128,34 @@ def even_inner_stripes(outer: Partition, inner_size: int) -> tuple[Stripe, ...]:
     return tuple(out)
 
 
-def horizontal_strips_over(inner: Partition, size: int) -> Iterator[Partition]:
+def horizontal_strips_over(inner: Partition, size: int) -> list[Partition]:
     """Outer shapes reached from `inner` by adding `size` boxes, no two per column.
 
-    Yields in decreasing lexicographic order.
+    Returns them in decreasing lexicographic order; a negative size raises
+    InvalidParametersError.
     """
+    if size < 0:
+        raise InvalidParametersError(f"strip size must be nonnegative, got {size}")
     rows = len(inner)
+    out: list[Partition] = []
     acc: list[int] = []
 
-    def rec(i: int, remaining: int) -> Iterator[Partition]:
+    def rec(i: int, remaining: int) -> None:
         if i == rows:
             if remaining == 0:
-                yield tuple(acc)
+                out.append(tuple(acc))
             elif remaining <= (inner[-1] if rows else remaining):
-                acc.append(remaining)
-                yield tuple(acc)
-                acc.pop()
+                out.append((*acc, remaining))
             return
         low = inner[i]
         high = min(inner[i - 1] if i else low + remaining, low + remaining)
         for part in range(high, low - 1, -1):
             acc.append(part)
-            yield from rec(i + 1, remaining - (part - low))
+            rec(i + 1, remaining - (part - low))
             acc.pop()
 
-    yield from rec(0, size)
+    rec(0, size)
+    return out
 
 
 def stripe_inners(outer: Partition) -> Iterator[Partition]:

@@ -21,6 +21,8 @@ from .partitions import (
     Partition,
     Stripe,
     even_inner_stripes,
+    even_partitions_of,
+    horizontal_strips_over,
     is_even_partition,
     is_horizontal_stripe,
     partitions_of,
@@ -188,23 +190,46 @@ def positive_shapes(n: int, a: int) -> Iterator[tuple[Partition, int]]:
             yield outer, d
 
 
+def _stripes_over_even_inners(inner_size: int, added: int) -> list[Stripe]:
+    """Every stripe with an even inner of size `inner_size` and `added` boxes on top.
+
+    Each even inner is a doubled partition of inner_size / 2, and its stripes
+    are the Pieri outers over it; they are sorted into the decreasing
+    (outer, inner) order of an outer-first walk.
+    """
+    stripes = [
+        Stripe(outer, inner)
+        for inner in even_partitions_of(inner_size)
+        for outer in horizontal_strips_over(inner, added)
+    ]
+    stripes.sort(reverse=True)
+    return stripes
+
+
 def positive_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
-    """The positive formula's index set: each nonnegative stripe with its degree d."""
-    for outer, d in positive_shapes(n, a):
-        for s in stripe_family(outer, d):
-            if in_nonnegative_family(s, d):
+    """The positive formula's index set: each nonnegative stripe with its degree d.
+
+    Enumerates inner-first: per degree, every stripe over an even inner of
+    size 2d, kept when its first part fits under n - 2d + a and its path
+    never dips below 0.
+    """
+    check_locus_params(n, a)
+    for d in range((n - a) // 2 + 1):
+        cap = n - 2 * d + a
+        for s in _stripes_over_even_inners(2 * d, n - 2 * d):
+            if s.outer[0] <= cap and in_nonnegative_family(s, d):
                 yield s, d
 
 
 def width_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
     """The width formula's index set: stripes with even inner of size n - a.
 
-    Each comes with its degree d = (n + a - width) / 2; InvariantError if none.
+    Enumerates inner-first, over every even inner of size n - a.  Each stripe
+    comes with its degree d = (n + a - width) / 2; InvariantError if none.
     """
     check_locus_params(n, a)
-    for outer in partitions_of(n):
-        for s in even_inner_stripes(outer, n - a):
-            d, odd = divmod(n + a - width(s), 2)
-            if odd or not 0 <= d <= (n - a) // 2:
-                raise InvariantError(f"width of {s} gives no degree for n={n}, a={a}")
-            yield s, d
+    for s in _stripes_over_even_inners(n - a, a):
+        d, odd = divmod(n + a - width(s), 2)
+        if odd or not 0 <= d <= (n - a) // 2:
+            raise InvariantError(f"width of {s} gives no degree for n={n}, a={a}")
+        yield s, d

@@ -9,10 +9,11 @@ from involution_harmonics.frobenius import (
     graded_frobenius_signed,
     graded_frobenius_width,
     hilbert_series,
-    signed_term,
 )
 from involution_harmonics.involutions import count_involutions
-from involution_harmonics.schur import qp_at_one, schur_at_one
+from involution_harmonics.schur import _accumulate, qp_at_one, qp_shift, schur_at_one
+
+from families import signed_term
 
 ROUTES = [graded_frobenius_signed, graded_frobenius_positive, graded_frobenius_width]
 
@@ -34,6 +35,16 @@ def test_frozen_small_expansions():
 def test_signed_term_degree_zero():
     assert signed_term(5, 1, 0) == {(5,): (1,)}
     assert signed_term(4, 0, 0) == {(4,): (1,)}
+
+
+def test_signed_route_sums_the_truncated_differences():
+    # each Pieri product is built once by the route and twice by signed_term
+    for n, a in valid_params(12):
+        expected = {}
+        for d in range((n - a) // 2 + 1):
+            for lam, coeff in signed_term(n, a, d).items():
+                _accumulate(expected, lam, qp_shift(coeff, d))
+        assert graded_frobenius_signed(n, a) == expected
 
 
 def test_routes_agree():

@@ -5,6 +5,7 @@ from math import factorial
 import pytest
 from hypothesis import given, strategies as st
 
+from involution_harmonics.errors import InvalidParametersError
 from involution_harmonics.partitions import (
     Partition,
     conjugate,
@@ -192,6 +193,12 @@ def test_horizontal_strips_over_values():
     ]
     assert list(horizontal_strips_over((), 3)) == [(3,)]
     assert list(horizontal_strips_over((2, 2), 0)) == [(2, 2)]
+
+
+def test_horizontal_strips_over_rejects_a_negative_size():
+    for inner in [(), (2, 1)]:
+        with pytest.raises(InvalidParametersError):
+            horizontal_strips_over(inner, -1)
 
 
 def test_horizontal_strips_over_is_exhaustive():

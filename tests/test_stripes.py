@@ -11,7 +11,6 @@ from involution_harmonics.errors import DomainViolationError
 from involution_harmonics.partitions import (
     Stripe,
     conjugate,
-    even_inner_stripes,
     partitions_of,
     stripe_inners,
 )
@@ -33,7 +32,12 @@ from involution_harmonics.stripes import (
     width_stripes,
 )
 
-from families import nonnegative_family, width_family
+from families import (
+    nonnegative_family,
+    outer_first_positive_stripes,
+    outer_first_width_stripes,
+    width_family,
+)
 
 REFERENCE = Stripe((10, 9, 6, 4, 4, 3), (10, 6, 4, 4, 4, 2))
 
@@ -232,27 +236,13 @@ def valid_params(max_n):
 
 
 def test_positive_stripes_match_the_per_shape_reference():
-    for n, a in valid_params(12):
-        expected = [
-            (s, d)
-            for d in range((n - a) // 2 + 1)
-            for lam in partitions_of(n, max_first_part=n - 2 * d + a)
-            for s in nonnegative_family(lam, d)
-        ]
-        assert list(positive_stripes(n, a)) == expected
+    for n, a in valid_params(18):
+        assert list(positive_stripes(n, a)) == outer_first_positive_stripes(n, a)
 
 
 def test_width_stripes_match_the_per_shape_reference():
-    for n, a in valid_params(12):
-        degrees = range((n - a) // 2 + 1)
-        expected = []
-        for lam in partitions_of(n):
-            families = [width_family(lam, n, a, d) for d in degrees]
-            for s in even_inner_stripes(lam, n - a):
-                # each stripe lies in exactly one width family
-                (d,) = [d for d in degrees if s in families[d]]
-                expected.append((s, d))
-        assert list(width_stripes(n, a)) == expected
+    for n, a in valid_params(18):
+        assert list(width_stripes(n, a)) == outer_first_width_stripes(n, a)
 
 
 def test_width_stripes_raise_when_optimized_and_a_width_gives_no_degree():
