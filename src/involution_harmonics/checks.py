@@ -28,10 +28,9 @@ from .involutions import count_involutions
 from .partitions import Partition, Stripe, partitions_of, stripe_inners
 from .schur import qp_at_one, schur_at_one
 from .stripes import (
+    _stripes_over_even_inners,
     in_nonnegative_family,
     matched_pairs,
-    positive_shapes,
-    stripe_family,
     stripe_from_columns,
     stripe_steps,
     width,
@@ -67,13 +66,13 @@ def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
     for s in iter_stripes_up_to(max_size):
         count += 1
         steps = stripe_steps(s)
+        pairs = matched_pairs(steps)
         w = width(s)
-        if not (w == width_by_matching(steps) == width_by_prefix_sums(steps)):
+        if not (w == width_by_matching(steps, pairs) == width_by_prefix_sums(steps)):
             failures.append(f"width mismatch on {s}")
         columns = len(steps)
         if not columns <= w <= columns + 2 * (sum(s.outer) - sum(s.inner)):
             failures.append(f"width {w} out of range on {s}")
-        pairs = matched_pairs(steps)
         if len(pairs) != sum(s.outer) - sum(s.inner):
             failures.append(f"matching misses ascents on {s}")
         ascents = {j for j, step in enumerate(steps, 1) if step == 1}
@@ -149,26 +148,43 @@ def _check_shadow_maps(n: int, a: int, d: int, lam, nonneg, wide) -> list[str]:
 
 
 def check_bijections(max_n: int = 8) -> tuple[bool, list[str]]:
-    """Both bijection pairs invert and exhaust their targets, all shapes swept."""
+    """Both bijection pairs invert and exhaust their targets, all shapes swept.
+
+    Each degree's families are built inner-first and grouped by outer shape.
+    An empty family over lam can fail a check only when the family over lam
+    one degree lower, or lam's width family, is not empty, so those shapes
+    are checked along with every shape that has a family.
+    """
     ok = True
     lines = []
     for n, a in iter_locus_params(max_n):
-        wide: dict[tuple[Partition, int], list[Stripe]] = {}
+        wide: dict[int, dict[Partition, list[Stripe]]] = {}
         for s, d in width_stripes(n, a):
-            wide.setdefault((s.outer, d), []).append(s)
-        families: dict[tuple[Partition, int], tuple[Stripe, ...]] = {}
+            wide.setdefault(d, {}).setdefault(s.outer, []).append(s)
+        previous: dict[Partition, list[Stripe]] = {}
         problems = []
         applications = 0
-        for lam, d in positive_shapes(n, a):
-            family = families[lam, d] = stripe_family(lam, d)
-            nonneg, below = [], []
-            for s in family:
-                (nonneg if in_nonnegative_family(s, d) else below).append(s)
-            if d > 0:
-                # lam also fits the wider column cap of degree d - 1: its family is built
-                problems += _check_domino_maps(n, a, d, lam, below, families[lam, d - 1])
-            problems += _check_shadow_maps(n, a, d, lam, nonneg, wide.get((lam, d), ()))
-            applications += len(family)
+        for d in range((n - a) // 2 + 1):
+            cap = n - 2 * d + a
+            families: dict[Partition, list[Stripe]] = {}
+            for s in _stripes_over_even_inners(2 * d, n - 2 * d):
+                if s.outer[0] <= cap:
+                    families.setdefault(s.outer, []).append(s)
+            widths = wide.get(d, {})
+            shapes = families.keys() | widths.keys()
+            shapes |= {lam for lam in previous if lam[0] <= cap}
+            for lam in sorted(shapes, reverse=True):
+                family = families.get(lam, [])
+                nonneg, below = [], []
+                for s in family:
+                    (nonneg if in_nonnegative_family(s, d) else below).append(s)
+                if d > 0:
+                    problems += _check_domino_maps(
+                        n, a, d, lam, below, previous.get(lam, ())
+                    )
+                problems += _check_shadow_maps(n, a, d, lam, nonneg, widths.get(lam, ()))
+                applications += len(family)
+            previous = families
         if problems:
             ok = False
             lines.extend(f"n={n} a={a}: {p}" for p in problems)

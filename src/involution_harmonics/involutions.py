@@ -6,7 +6,7 @@ from __future__ import annotations
 from math import factorial
 from typing import NamedTuple
 
-from .errors import InvariantError, check_locus_params
+from .errors import DomainViolationError, InvariantError, _is_int, check_locus_params
 
 
 class Involution(NamedTuple):
@@ -20,19 +20,34 @@ class Involution(NamedTuple):
 def involution(n: int, pairs, fixed=None) -> Involution:
     """Build and validate an involution from its transpositions.
 
-    Fixed points default to the letters not covered by any pair.
+    Each pair must hold two distinct integers in 1..n, and no letter may sit
+    in two pairs; DomainViolationError otherwise.  Fixed points default to
+    the letters not covered by any pair.
     """
-    norm = tuple(sorted(tuple(sorted(p)) for p in pairs))
-    covered = [x for p in norm for x in p]
-    covered_set = set(covered)
-    if len(covered_set) != len(covered):
-        raise ValueError(f"pairs {pairs!r} are not disjoint")
-    if any(x < 1 or x > n for x in covered):
-        raise ValueError(f"pairs {pairs!r} do not fit inside 1..{n}")
-    rest = tuple(x for x in range(1, n + 1) if x not in covered_set)
+    norm = []
+    covered: set[int] = set()
+    for p in pairs:
+        if not isinstance(p, (tuple, list)) or len(p) != 2:
+            raise DomainViolationError(f"pair {p!r} is not a transposition")
+        i, j = p
+        if not (_is_int(i) and _is_int(j)) or i == j:
+            raise DomainViolationError(f"pair {p!r} is not a transposition")
+        if i > j:
+            i, j = j, i
+        if i < 1 or j > n:
+            raise DomainViolationError(f"pairs {pairs!r} do not fit inside 1..{n}")
+        if i in covered or j in covered:
+            raise DomainViolationError(f"pairs {pairs!r} are not disjoint")
+        covered.add(i)
+        covered.add(j)
+        norm.append((i, j))
+    norm.sort()
+    rest = tuple(x for x in range(1, n + 1) if x not in covered)
     if fixed is not None and tuple(sorted(fixed)) != rest:
-        raise ValueError(f"fixed points {fixed!r} disagree with pairs {pairs!r}")
-    return Involution(n, norm, rest)
+        raise DomainViolationError(
+            f"fixed points {fixed!r} disagree with pairs {pairs!r}"
+        )
+    return Involution(n, tuple(norm), rest)
 
 
 def count_involutions(n: int, a: int) -> int:

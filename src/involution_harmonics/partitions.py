@@ -7,7 +7,7 @@ stripe outer/inner is a skew shape with at most one box per column.
 from __future__ import annotations
 
 from functools import cache
-from itertools import accumulate, product
+from itertools import product
 from math import factorial, prod
 from typing import Iterator, NamedTuple
 
@@ -92,40 +92,6 @@ def syt_count(p: Partition) -> int:
         row - j + conj[j] - i - 1 for i, row in enumerate(p) for j in range(row)
     )
     return factorial(sum(p)) // hooks
-
-
-def even_inner_stripes(outer: Partition, inner_size: int) -> tuple[Stripe, ...]:
-    """Stripes over `outer` whose inner shape is an even partition of `inner_size`.
-
-    Row i of the inner lies between the next outer row (0 past the last) and
-    outer[i]; only its even values are tried, largest first, so the stripes
-    come in the decreasing lexicographic order of `stripe_inners`.  Rows left
-    to fill must be able to hold the size still to place.
-    """
-    lows = [x + x % 2 for x in (*outer[1:], 0)]
-    highs = [x - x % 2 for x in outer]
-    # least[i], most[i]: the smallest and largest sizes rows i, i+1, ... can hold
-    least = [*accumulate(reversed(lows), initial=0)][::-1]
-    most = [*accumulate(reversed(highs), initial=0)][::-1]
-    if inner_size % 2 or not least[0] <= inner_size <= most[0]:
-        return ()
-    out: list[Stripe] = []
-    rows: list[int] = []
-
-    def rec(i: int, remaining: int) -> None:
-        if i == len(outer):
-            # only the last row can be 0, and a partition leaves it out
-            out.append(Stripe(outer, tuple(filter(None, rows))))
-            return
-        top = min(highs[i], remaining - least[i + 1])
-        bottom = max(lows[i], remaining - most[i + 1])
-        for row in range(top, bottom - 1, -2):
-            rows.append(row)
-            rec(i + 1, remaining - row)
-            rows.pop()
-
-    rec(0, inner_size)
-    return tuple(out)
 
 
 def horizontal_strips_over(inner: Partition, size: int) -> list[Partition]:

@@ -20,12 +20,10 @@ from .errors import (
 from .partitions import (
     Partition,
     Stripe,
-    even_inner_stripes,
     even_partitions_of,
     horizontal_strips_over,
     is_even_partition,
     is_horizontal_stripe,
-    partitions_of,
 )
 
 Steps = tuple[int, ...]  # +1 ascent, -1 descent, one entry per column of the outer shape
@@ -131,9 +129,11 @@ def width(s: Stripe) -> int:
     return len(steps) + heights[-1] - min(heights)
 
 
-def width_by_matching(steps: Steps) -> int:
-    """Width of a stripe's path straight from the matching; cross-checks width()."""
-    pairs = matched_pairs(steps)
+def width_by_matching(steps: Steps, pairs: list[tuple[int, int]]) -> int:
+    """Width of a stripe's path from its matching, matched_pairs(steps).
+
+    Cross-checks width(); the caller passes the matching it already built.
+    """
     return max(len(steps), max((j for _, j in pairs), default=0))
 
 
@@ -146,7 +146,8 @@ def width_by_prefix_sums(steps: Steps) -> int:
     best = running = 0
     for step in reversed(steps):
         running += step
-        best = max(best, running)
+        if running > best:
+            best = running
     return len(steps) + best
 
 
@@ -175,19 +176,6 @@ def in_width_family(s: Stripe, n: int, a: int, d: int) -> bool:
         and sum(s.inner) == n - a
         and width(s) == n - 2 * d + a
     )
-
-
-def stripe_family(outer: Partition, d: int) -> tuple[Stripe, ...]:
-    """All stripes over `outer` with even inner of size 2d."""
-    return even_inner_stripes(outer, 2 * d)
-
-
-def positive_shapes(n: int, a: int) -> Iterator[tuple[Partition, int]]:
-    """Every (outer, d) of the positive formula, d first: outer[0] <= n - 2d + a."""
-    check_locus_params(n, a)
-    for d in range((n - a) // 2 + 1):
-        for outer in partitions_of(n, max_first_part=n - 2 * d + a):
-            yield outer, d
 
 
 def _stripes_over_even_inners(inner_size: int, added: int) -> list[Stripe]:

@@ -1,7 +1,9 @@
 """Row insertion, RSK for symmetric 0/1 matrices, and the candidate monomial basis.
 
 Tableaux are tuples of tuples of ints, rows weakly increasing left to right,
-columns strictly increasing top to bottom.  RSK is implemented for general
+columns strictly increasing top to bottom.  Insertion works in place on
+mutable list rows inside this module; the public functions still take and
+return tuples of tuples.  RSK is implemented for general
 nonnegative-integer matrices through the sorted two-line array and then
 specialized to the symmetric zero-diagonal case, where the insertion and
 recording tableaux coincide and the shape has even column lengths.
@@ -64,17 +66,23 @@ def is_standard_on_content(t: Rows) -> bool:
     return True
 
 
+def _bump(rows: list[list[int]], value: int) -> int:
+    """Schensted row insertion into mutable rows, in place; returns the row that grew."""
+    for r, row in enumerate(rows):
+        k = bisect_right(row, value)
+        if k == len(row):
+            row.append(value)
+            return r
+        row[k], value = value, row[k]
+    rows.append([value])
+    return len(rows) - 1
+
+
 def row_insert(t: Rows, value: int) -> tuple[Rows, tuple[int, int]]:
     """Schensted row insertion.  Returns the new tableau and the box it grew."""
-    rows = list(t)
-    v = value
-    for r, row in enumerate(rows):
-        k = bisect_right(row, v)
-        if k == len(row):
-            rows[r] = row + (v,)
-            return tuple(rows), (r, k)
-        rows[r], v = row[:k] + (v,) + row[k + 1 :], row[k]
-    return tuple(rows) + ((v,),), (len(rows), 0)
+    rows = [list(row) for row in t]
+    r = _bump(rows, value)
+    return tuple(map(tuple, rows)), (r, len(rows[r]) - 1)
 
 
 def reverse_row_insert(t: Rows, row_index: int) -> tuple[Rows, int]:
@@ -134,16 +142,14 @@ def rsk(biletters) -> tuple[Rows, Rows]:
     The recording tableau grows by the box each insertion adds, so it keeps
     the shape of the insertion tableau.
     """
-    p: Rows = ()
-    q: Rows = ()
+    p: list[list[int]] = []
+    q: list[list[int]] = []
     for top, bottom in sorted(biletters):
-        p, (r, _) = row_insert(p, bottom)
-        rows = list(q)
-        if r == len(rows):
-            rows.append(())
-        rows[r] = rows[r] + (top,)
-        q = tuple(rows)
-    return p, q
+        r = _bump(p, bottom)
+        if r == len(q):
+            q.append([])
+        q[r].append(top)
+    return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
 def rsk_inverse(p: Rows, q: Rows) -> list[tuple[int, int]]:
@@ -174,11 +180,14 @@ def _symmetric_ones(matrix) -> frozenset[tuple[int, int]]:
     """Normalize a dense 0/1 matrix or a set of positions; validate symmetry."""
     if isinstance(matrix, (set, frozenset)):
         ones = set(matrix)
-        if not all(
-            isinstance(c, tuple) and len(c) == 2 and all(isinstance(x, int) for x in c)
-            for c in ones
-        ):
-            raise InvalidMatrixError("positions must be integer pairs")
+        for c in ones:
+            if not (
+                isinstance(c, tuple)
+                and len(c) == 2
+                and isinstance(c[0], int)
+                and isinstance(c[1], int)
+            ):
+                raise InvalidMatrixError("positions must be integer pairs")
     else:
         ones = set()
         rows = [tuple(row) for row in matrix]
@@ -190,10 +199,12 @@ def _symmetric_ones(matrix) -> frozenset[tuple[int, int]]:
                     raise InvalidMatrixError(f"entry {entry!r} is not 0 or 1")
                 if entry:
                     ones.add((i + 1, j + 1))
-    if any(i == j for i, j in ones):
-        raise InvalidMatrixError("diagonal must be zero")
-    if any((j, i) not in ones for i, j in ones):
-        raise InvalidMatrixError("matrix must be symmetric")
+    for i, j in ones:
+        if i == j:
+            raise InvalidMatrixError("diagonal must be zero")
+    for i, j in ones:
+        if (j, i) not in ones:
+            raise InvalidMatrixError("matrix must be symmetric")
     return frozenset(ones)
 
 
@@ -237,14 +248,14 @@ def involution_tableau_pair(w: Involution) -> tuple[Rows, Stripe]:
     """
     w = involution(w.n, w.pairs, w.fixed)
     ones = frozenset(cell for i, j in w.pairs for cell in ((i, j), (j, i)))
-    p = rsk_symmetric(ones)
-    q = p
+    rows = [list(row) for row in rsk_symmetric(ones)]
+    nu = tuple(map(len, rows))
     for v in w.fixed:
-        q, _ = row_insert(q, v)
-    lam, nu = shape(q), shape(p)
+        _bump(rows, v)
+    lam = tuple(map(len, rows))
     if not is_horizontal_stripe(lam, nu):
         raise InvariantError(f"inserting the fixed points of {w} gave {lam}/{nu}")
-    return q, Stripe(lam, nu)
+    return tuple(map(tuple, rows)), Stripe(lam, nu)
 
 
 @cache

@@ -1,21 +1,63 @@
-"""Outer-first references for the formula routes: test-side only.
+"""Outer-first references for the formula routes and sweeps: test-side only.
 
 The library enumerates each formula's index set inner-first, through
-`positive_stripes` and `width_stripes`, and sums the signed formula with
-each Pieri product built once.  These rebuild the same sets one outer shape
-and degree at a time, straight from the membership predicates, and the
-signed formula one degree at a time from both of its Pieri products.
+`positive_stripes` and `width_stripes`, sums the signed formula with each
+Pieri product built once, and sweeps the bijections over the same inner-first
+families.  These rebuild the same sets one outer shape and degree at a time,
+straight from the membership predicates, and the signed formula one degree
+at a time from both of its Pieri products.
 """
 
+from itertools import accumulate
+
 from involution_harmonics.errors import check_degree_params, check_locus_params
-from involution_harmonics.partitions import even_inner_stripes, partitions_of
+from involution_harmonics.partitions import Stripe, partitions_of
 from involution_harmonics.schur import (
     pieri_mult,
     plethysm_h_h2,
     schur_sub,
     truncate_first_part,
 )
-from involution_harmonics.stripes import in_nonnegative_family, stripe_family, width
+from involution_harmonics.stripes import in_nonnegative_family, width
+
+
+def even_inner_stripes(outer, inner_size):
+    """Stripes over `outer` whose inner shape is an even partition of `inner_size`.
+
+    Row i of the inner lies between the next outer row (0 past the last) and
+    outer[i]; only its even values are tried, largest first, so the stripes
+    come in the decreasing lexicographic order of `stripe_inners`.  Rows left
+    to fill must be able to hold the size still to place.
+    """
+    lows = [x + x % 2 for x in (*outer[1:], 0)]
+    highs = [x - x % 2 for x in outer]
+    # least[i], most[i]: the smallest and largest sizes rows i, i+1, ... can hold
+    least = [*accumulate(reversed(lows), initial=0)][::-1]
+    most = [*accumulate(reversed(highs), initial=0)][::-1]
+    if inner_size % 2 or not least[0] <= inner_size <= most[0]:
+        return ()
+    out = []
+    rows = []
+
+    def rec(i, remaining):
+        if i == len(outer):
+            # only the last row can be 0, and a partition leaves it out
+            out.append(Stripe(outer, tuple(filter(None, rows))))
+            return
+        top = min(highs[i], remaining - least[i + 1])
+        bottom = max(lows[i], remaining - most[i + 1])
+        for row in range(top, bottom - 1, -2):
+            rows.append(row)
+            rec(i + 1, remaining - row)
+            rows.pop()
+
+    rec(0, inner_size)
+    return tuple(out)
+
+
+def stripe_family(outer, d):
+    """All stripes over `outer` with even inner of size 2d."""
+    return even_inner_stripes(outer, 2 * d)
 
 
 def nonnegative_family(outer, d):

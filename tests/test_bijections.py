@@ -13,9 +13,9 @@ from involution_harmonics.bijections import (
 )
 from involution_harmonics.errors import DomainViolationError, InvalidParametersError
 from involution_harmonics.partitions import Stripe, partitions_of
-from involution_harmonics.stripes import in_nonnegative_family, stripe_family
+from involution_harmonics.stripes import in_nonnegative_family
 
-from families import nonnegative_family, width_family
+from families import nonnegative_family, stripe_family, width_family
 
 
 def valid_triples(max_n, min_d=0):
@@ -130,3 +130,31 @@ def test_check_bijections_fails_when_a_map_swaps_two_images(
         assert line in lines
     others = [line for line in lines if not line.startswith(f"n={n} a={a}: ")]
     assert others and all("bijections verified" in line for line in others)
+
+
+@pytest.mark.parametrize(
+    "n, outer, d, expected",
+    [
+        # (4,) keeps its family at d = 0: only the domino check at d = 1 sees it
+        (4, (4,), 1, "n=4 a=2: domino maps are not a bijection over (4,) at d=1"),
+        # (6,) has no family below d = 0: only its width family sees it
+        (6, (6,), 0, "n=6 a=0: width maps are not a bijection over (6,) at d=0"),
+    ],
+)
+def test_check_bijections_fails_when_a_family_goes_missing(
+    monkeypatch, n, outer, d, expected
+):
+    # the inner-first sweep skips an emptied family unless it still visits the
+    # shape for the family one degree lower or for the width family
+    real = checks._stripes_over_even_inners
+
+    def dropped(inner_size, added):
+        stripes = real(inner_size, added)
+        if (inner_size, added) == (2 * d, n - 2 * d):
+            stripes = [s for s in stripes if s.outer != outer]
+        return stripes
+
+    monkeypatch.setattr(checks, "_stripes_over_even_inners", dropped)
+    ok, lines = checks.check_bijections(n)
+    assert ok is False
+    assert expected in lines

@@ -7,7 +7,7 @@ from math import factorial
 
 import pytest
 
-from involution_harmonics.errors import InvalidParametersError
+from involution_harmonics.errors import DomainViolationError, InvalidParametersError
 from involution_harmonics.involutions import (
     Involution,
     count_involutions,
@@ -47,6 +47,16 @@ def test_builder_rejects():
         involution(3, [(1, 4)])  # out of range
     with pytest.raises(ValueError):
         involution(4, [(1, 2)], fixed=[3])  # 4 is missing
+    with pytest.raises(DomainViolationError):
+        involution(5, [(1, 2, 3)])  # three letters
+    with pytest.raises(DomainViolationError):
+        involution(5, [(4,)])  # one letter
+    with pytest.raises(DomainViolationError):
+        involution(4, [(1, 2.0)])  # not an integer
+    with pytest.raises(DomainViolationError):
+        involution(4, [(2, 2)])  # a letter paired with itself
+    with pytest.raises(DomainViolationError):
+        involution(4, [3])  # not a pair at all
 
 
 def test_count_small_values():

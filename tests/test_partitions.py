@@ -10,7 +10,6 @@ from involution_harmonics.partitions import (
     Partition,
     conjugate,
     contains,
-    even_inner_stripes,
     even_partitions_of,
     horizontal_strips_over,
     is_even_partition,
@@ -19,6 +18,8 @@ from involution_harmonics.partitions import (
     stripe_inners,
     syt_count,
 )
+
+from families import even_inner_stripes
 
 
 def as_partition(parts) -> Partition:

@@ -23,7 +23,6 @@ from involution_harmonics.stripes import (
     steps_from_string,
     steps_heights,
     steps_to_string,
-    stripe_family,
     stripe_from_columns,
     stripe_steps,
     width,
@@ -36,6 +35,7 @@ from families import (
     nonnegative_family,
     outer_first_positive_stripes,
     outer_first_width_stripes,
+    stripe_family,
     width_family,
 )
 
@@ -62,7 +62,7 @@ def test_reference_matching():
 def test_reference_width():
     steps = stripe_steps(REFERENCE)
     assert width(REFERENCE) == 14
-    assert width_by_matching(steps) == 14
+    assert width_by_matching(steps, matched_pairs(steps)) == 14
     assert width_by_prefix_sums(steps) == 14
 
 
@@ -123,7 +123,8 @@ def test_width_bounds():
         steps = stripe_steps(s)
         columns = len(steps)
         assert columns <= w <= columns + 2 * (sum(s.outer) - sum(s.inner))
-        assert w == width_by_matching(steps) == width_by_prefix_sums(steps)
+        pairs = matched_pairs(steps)
+        assert w == width_by_matching(steps, pairs) == width_by_prefix_sums(steps)
 
 
 def test_stripe_from_columns_reconstructs():

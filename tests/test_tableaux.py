@@ -3,6 +3,7 @@
 import itertools
 import subprocess
 import sys
+from bisect import bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -39,6 +40,32 @@ from involution_harmonics.tableaux import (
     standard_tableaux,
     transpose_tableau,
 )
+
+
+def reference_row_insert(t, value):
+    """Schensted row insertion that rebuilds the tableau as tuples at every bump."""
+    rows = list(t)
+    v = value
+    for r, row in enumerate(rows):
+        k = bisect_right(row, v)
+        if k == len(row):
+            rows[r] = row + (v,)
+            return tuple(rows), (r, k)
+        rows[r], v = row[:k] + (v,) + row[k + 1 :], row[k]
+    return tuple(rows) + ((v,),), (len(rows), 0)
+
+
+def reference_rsk(biletters):
+    """RSK that rebuilds both tableaux as tuples for every biletter."""
+    p = q = ()
+    for top, bottom in sorted(biletters):
+        p, (r, _) = reference_row_insert(p, bottom)
+        rows = list(q)
+        if r == len(rows):
+            rows.append(())
+        rows[r] = rows[r] + (top,)
+        q = tuple(rows)
+    return p, q
 
 
 def test_row_insert_bumps():
@@ -119,6 +146,17 @@ def test_rsk_round_trip_on_permutations():
             assert rsk_inverse(p, q) == biletters
 
 
+@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12))
+def test_rsk_matches_reference_on_multisets(biletters):
+    # letters repeat on both lines: general RSK, not only the symmetric case
+    assert rsk(biletters) == reference_rsk(biletters)
+    t = ()
+    for _, bottom in biletters:
+        inserted = row_insert(t, bottom)
+        assert inserted == reference_row_insert(t, bottom)
+        t = inserted[0]
+
+
 def test_rsk_inverse_rejects():
     with pytest.raises(ShapeMismatchError):
         rsk_inverse(((1, 2),), ((1,), (2,)))
@@ -189,6 +227,18 @@ def test_tableau_pair_is_injective_and_onto_count():
                 assert sum(s.outer) - sum(s.inner) == a
                 seen.add((q, s))
             assert len(seen) == count_involutions(n, a)
+
+
+def test_involution_tableau_pair_matches_composite():
+    # symmetric RSK of the pairs, then each fixed point inserted on top
+    for n in range(1, 10):
+        for a in range(n % 2, n + 1, 2):
+            for w in involutions(n, a):
+                ones = frozenset(c for i, j in w.pairs for c in ((i, j), (j, i)))
+                p = q = rsk_symmetric(ones)
+                for v in w.fixed:
+                    q, _ = reference_row_insert(q, v)
+                assert involution_tableau_pair(w) == (q, Stripe(shape(q), shape(p)))
 
 
 def test_involution_tableau_pair_raises_when_optimized_and_rsk_breaks():
