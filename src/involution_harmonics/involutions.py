@@ -20,10 +20,13 @@ class Involution(NamedTuple):
 def involution(n: int, pairs, fixed=None) -> Involution:
     """Build and validate an involution from its transpositions.
 
-    Each pair must hold two distinct integers in 1..n, and no letter may sit
-    in two pairs; DomainViolationError otherwise.  Fixed points default to
-    the letters not covered by any pair.
+    n must be a positive integer, each pair must hold two distinct integers in
+    1..n, no letter may sit in two pairs, and fixed points, when given, must be
+    integers; DomainViolationError otherwise.  Fixed points default to the
+    letters not covered by any pair.
     """
+    if not _is_int(n) or n < 1:
+        raise DomainViolationError(f"n={n!r} is not a positive integer")
     norm = []
     covered: set[int] = set()
     for p in pairs:
@@ -43,10 +46,17 @@ def involution(n: int, pairs, fixed=None) -> Involution:
         norm.append((i, j))
     norm.sort()
     rest = tuple(x for x in range(1, n + 1) if x not in covered)
-    if fixed is not None and tuple(sorted(fixed)) != rest:
-        raise DomainViolationError(
-            f"fixed points {fixed!r} disagree with pairs {pairs!r}"
-        )
+    if fixed is not None:
+        try:
+            given = tuple(sorted(fixed))
+        except TypeError:  # not iterable, or letters that do not compare
+            given = None
+        if given is None or not all(map(_is_int, given)):
+            raise DomainViolationError(f"fixed points {fixed!r} are not integers")
+        if given != rest:
+            raise DomainViolationError(
+                f"fixed points {fixed!r} disagree with pairs {pairs!r}"
+            )
     return Involution(n, tuple(norm), rest)
 
 

@@ -31,8 +31,11 @@ counts gives every ungraded multiplicity, and since each F_d lies in F_top, a
 lambda with ungraded multiplicity 0 has multiplicity 0 in every degree.  So
 ranks are eliminated only for the mu that occur.  That leaves out (1^n) for
 n >= 2, whose stabilizers hold a transposition, and the other long mu, which
-carry nearly all of the rank work.  The graded dimensions are Young's rule at mu = (1^n), the sum over lambda of
-K(lambda, 1^n) * mult_lambda(F_d), from the same multiplicities.
+carry nearly all of the rank work.  The graded dimensions are Young's rule at
+mu = (1^n), the sum over lambda of K(lambda, 1^n) * mult_lambda(F_d), from the
+same multiplicities.  One call builds each mu's top-degree types and h_mu
+once; `check basis` evaluates the candidates on the same (1^n) types, as
+orbit-sum columns from the same builder.
 
 Every rank that is computed must saturate at the number of point types by
 the top degree, and every multiplicity, ungraded or graded, must be
@@ -52,9 +55,9 @@ from .errors import (
     InvariantError,
     ResourceLimitError,
     ShapeMismatchError,
+    _is_int,
     check_locus_params,
 )
-from .involutions import involutions
 from .partitions import Partition, partitions_of
 from .schur import QP_ONE, QPoly, SchurPoly, pieri_mult, qp_add, qp_normal, schur_terms
 from .tableaux import candidate_basis
@@ -73,7 +76,8 @@ Column = dict[int, int]
 def oracle_size_cap(explicit: int | None = None) -> int:
     """The largest n the brute force will attempt; env override, else 6.
 
-    A cap below 1 would refuse every locus, so it is rejected as a parameter.
+    A cap that is not an integer, or is below 1 and would refuse every locus,
+    is rejected as a parameter.
     """
     cap = explicit
     if cap is None:
@@ -86,18 +90,11 @@ def oracle_size_cap(explicit: int | None = None) -> int:
             raise InvalidParametersError(
                 f"{SIZE_CAP_ENV} must be an integer, got {raw!r}"
             ) from None
+    elif not _is_int(cap):
+        raise InvalidParametersError(f"the oracle size cap must be an integer, got {cap!r}")
     if cap < 1:
         raise InvalidParametersError(f"the oracle size cap must be at least 1, got {cap}")
     return cap
-
-
-def _check_cap(n: int, size_cap: int | None) -> None:
-    cap = oracle_size_cap(size_cap)
-    if n > cap:
-        raise ResourceLimitError(
-            f"n={n} exceeds the oracle size cap {cap}; raise it explicitly "
-            f"or via {SIZE_CAP_ENV}"
-        )
 
 
 def matchings_of_size(mu: Partition, d: int) -> tuple[Matching, ...]:
@@ -169,34 +166,35 @@ def _reduce_column(col: Column, basis: list[tuple[int, Column]]) -> Column:
     return v
 
 
-def invariant_ranks(n: int, a: int, mu: Partition) -> tuple[int, ...]:
+def _rows(types: tuple[Matching, ...]) -> list[tuple[dict, frozenset]]:
+    """Each type as its counts by key, and its keys."""
+    return [(dict(p), frozenset(k for k, _ in p)) for p in types]
+
+
+def _column(m: Matching, rows: list[tuple[dict, frozenset]]) -> Column:
+    """The orbit sum of type m on each row P: prod_k C(P[k], m_k), zeros left out."""
+    keys = frozenset(k for k, _ in m)
+    return {
+        i: x
+        for i, (point, point_keys) in enumerate(rows)
+        if keys <= point_keys and (x := prod(comb(point[k], c) for k, c in m))
+    }
+
+
+def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[int, ...]:
     """dim F_d^{S_mu} for d = 0, 1, ..., (n - a) / 2, by exact elimination.
 
-    Rows are the point types, columns the orbit sums of degree <= d; the rank
-    must reach the number of point types by the top degree.
+    Rows are the given top-degree types of mu, columns the orbit sums of degree
+    <= d; the rank must reach the number of point types by the top degree.
     """
-    check_locus_params(n, a)
-    if sum(mu) != n:
-        raise ShapeMismatchError(f"{mu} is not a composition of {n}")
-    rows = [
-        (dict(p), frozenset(k for k, _ in p))
-        for p in matchings_of_size(mu, (n - a) // 2)
-    ]
+    rows = _rows(types)
     size = len(rows)
     basis: list[tuple[int, Column]] = []
     ranks: list[int] = []
     for d in range((n - a) // 2 + 1):
         if len(basis) < size:
             for m in matchings_of_size(mu, d):
-                keys = frozenset(k for k, _ in m)
-                # zeros are left out: C(P[k], m_k) is 0 when a point has too few pairs
-                col = {
-                    i: x
-                    for i, (point, point_keys) in enumerate(rows)
-                    if keys <= point_keys
-                    and (x := prod(comb(point[k], c) for k, c in m))
-                }
-                reduced = _reduce_column(col, basis)
+                reduced = _reduce_column(_column(m, rows), basis)
                 if reduced:
                     basis.append((min(reduced), reduced))
                     if len(basis) == size:
@@ -210,6 +208,14 @@ def invariant_ranks(n: int, a: int, mu: Partition) -> tuple[int, ...]:
     return tuple(ranks)
 
 
+def invariant_ranks(n: int, a: int, mu: Partition) -> tuple[int, ...]:
+    """dim F_d^{S_mu} by exact elimination, after checking n, a and mu."""
+    check_locus_params(n, a)
+    if sum(mu) != n:
+        raise ShapeMismatchError(f"{mu} is not a composition of {n}")
+    return _ranks(n, a, mu, matchings_of_size(mu, (n - a) // 2))
+
+
 def _complete(mu: Partition) -> SchurPoly:
     """h_mu in the Schur basis; its coefficients are the Kostka numbers K(lambda, mu)."""
     h: SchurPoly = {(): QP_ONE}
@@ -218,8 +224,10 @@ def _complete(mu: Partition) -> SchurPoly:
     return h
 
 
-def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
-    """Graded multiplicities from the invariant ranks of Young subgroups.
+def _young_decomposition(
+    ranks: dict[Partition, tuple[int, ...]], kostka: dict[Partition, SchurPoly]
+) -> SchurPoly:
+    """Graded multiplicities from the invariant ranks of Young subgroups and h_mu.
 
     `ranks` lists partitions of n in decreasing lexicographic order, so every
     lambda with K(lambda, mu) != 0 other than mu itself comes before mu; a
@@ -228,12 +236,12 @@ def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
     filtration: dict[Partition, list[int]] = {}
     out: SchurPoly = {}
     for mu, r in ranks.items():
-        h_mu = _complete(mu)
+        h_mu = kostka[mu]
         cumulative = list(r)
         for lam, mult in filtration.items():
-            kostka = h_mu.get(lam, (0,))[0]
+            k = h_mu.get(lam, (0,))[0]
             for d, m in enumerate(mult):
-                cumulative[d] -= kostka * m
+                cumulative[d] -= k * m
         filtration[mu] = cumulative
         graded = [m - (cumulative[d - 1] if d else 0) for d, m in enumerate(cumulative)]
         if any(m < 0 for m in graded):
@@ -243,38 +251,39 @@ def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
     return out
 
 
-def _graded_frobenius(n: int, a: int) -> SchurPoly:
-    """Orbit counts at the top degree fix the support; its ranks grade it."""
-    top = (n - a) // 2
-    ungraded = _young_decomposition(
-        {mu: (len(matchings_of_size(mu, top)),) for mu in partitions_of(n)}
-    )
-    return _young_decomposition({mu: invariant_ranks(n, a, mu) for mu in ungraded})
-
-
-def _hilbert(frobenius: SchurPoly, n: int) -> QPoly:
-    """Graded dimensions by Young's rule at mu = (1^n): sum of K(lambda, 1^n) mult_lambda."""
-    kostka = _complete((1,) * n)
-    dims: QPoly = ()
+def _oracle(
+    n: int, a: int, size_cap: int | None
+) -> tuple[SchurPoly, QPoly, tuple[Matching, ...]]:
+    """The graded Frobenius expansion, the Hilbert series and the (1^n) types."""
+    check_locus_params(n, a)
+    cap = oracle_size_cap(size_cap)
+    if n > cap:
+        raise ResourceLimitError(
+            f"n={n} exceeds the oracle size cap {cap}; raise it explicitly "
+            f"or via {SIZE_CAP_ENV}"
+        )
+    kostka = {mu: _complete(mu) for mu in partitions_of(n)}
+    types = {mu: matchings_of_size(mu, (n - a) // 2) for mu in kostka}
+    ungraded = _young_decomposition({mu: (len(t),) for mu, t in types.items()}, kostka)
+    ranks = {mu: _ranks(n, a, mu, types[mu]) for mu in ungraded}
+    frobenius = _young_decomposition(ranks, kostka)
+    ones = (1,) * n
+    hilbert: QPoly = ()
     for lam, coeff in frobenius.items():
-        dims = qp_add(dims, tuple(kostka[lam][0] * c for c in coeff))
-    return dims
+        hilbert = qp_add(hilbert, tuple(kostka[ones][lam][0] * c for c in coeff))
+    return frobenius, hilbert, types[ones]
 
 
 def graded_hilbert(n: int, a: int, *, size_cap: int | None = None) -> QPoly:
     """Dimensions of the graded pieces, by Young's rule at (1^n)."""
-    check_locus_params(n, a)
-    _check_cap(n, size_cap)
-    return _hilbert(_graded_frobenius(n, a), n)
+    return _oracle(n, a, size_cap)[1]
 
 
 def oracle_graded_frobenius(
     n: int, a: int, *, size_cap: int | None = None
 ) -> SchurPoly:
     """Schur expansion of the graded conjugation action, by Young's rule."""
-    check_locus_params(n, a)
-    _check_cap(n, size_cap)
-    return _graded_frobenius(n, a)
+    return _oracle(n, a, size_cap)[0]
 
 
 def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dict:
@@ -284,10 +293,7 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
     coefficient, and all candidate evaluation columns taken together are
     linearly independent (hence a basis of the function space).
     """
-    check_locus_params(n, a)
-    _check_cap(n, size_cap)
-    frobenius = _graded_frobenius(n, a)
-    hilbert = _hilbert(frobenius, n)
+    frobenius, hilbert, points = _oracle(n, a, size_cap)
     candidates = candidate_basis(n, a)
     top = (n - a) // 2
     profile = [0] * (top + 1)
@@ -303,12 +309,11 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
     monomials = [m for _, m in candidates]
     if len(set(monomials)) != len(monomials):
         failures.append("candidate monomials collide")
-    points = involutions(n, a)
-    pair_sets = [frozenset(w.pairs) for w in points]
+    rows = _rows(points)
     basis: list[tuple[int, Column]] = []
     for d, monomial in sorted(candidates, key=lambda dm: dm[0]):
-        col = {i: 1 for i, ps in enumerate(pair_sets) if set(monomial) <= ps}
-        reduced = _reduce_column(col, basis)
+        m = tuple(((i - 1, j - 1), 1) for i, j in monomial)
+        reduced = _reduce_column(_column(m, rows), basis)
         if not reduced:
             failures.append(f"degree {d} monomial {monomial} is dependent")
             break

@@ -1,10 +1,10 @@
 """Row insertion, RSK for symmetric 0/1 matrices, and the candidate monomial basis.
 
 Tableaux are tuples of tuples of ints, rows weakly increasing left to right,
-columns strictly increasing top to bottom.  Insertion works in place on
-mutable list rows inside this module; the public functions still take and
-return tuples of tuples.  RSK is implemented for general
-nonnegative-integer matrices through the sorted two-line array and then
+columns strictly increasing top to bottom.  Insertion and reverse insertion
+both work in place on mutable list rows inside this module; the public
+functions still take and return tuples of tuples.  RSK is implemented for
+general nonnegative-integer matrices through the sorted two-line array and then
 specialized to the symmetric zero-diagonal case, where the insertion and
 recording tableaux coincide and the shape has even column lengths.
 
@@ -85,28 +85,24 @@ def row_insert(t: Rows, value: int) -> tuple[Rows, tuple[int, int]]:
     return tuple(map(tuple, rows)), (r, len(rows[r]) - 1)
 
 
-def reverse_row_insert(t: Rows, row_index: int) -> tuple[Rows, int]:
-    """Inverse insertion starting from the last box of the given row.
+def _unbump(rows: list[list[int]], r: int) -> int:
+    """Reverse insertion from the end of row r, in place; returns the value bumped out.
 
-    The box must be a removable corner; the bumped-out value is returned.
-    Raises NotInImageError when a column of t does not strictly increase, so
-    that no entry above can take the value back.
+    The box must be a removable corner.  Raises NotInImageError when a column
+    does not strictly increase, so that no entry above can take the value back.
     """
-    rows = list(t)
-    if row_index + 1 < len(rows) and len(rows[row_index + 1]) >= len(rows[row_index]):
-        raise ShapeMismatchError(f"row {row_index} has no removable corner")
-    row = rows[row_index]
-    v = row[-1]
-    rows[row_index] = row[:-1]
-    for r in range(row_index - 1, -1, -1):
-        row = rows[r]
+    if r + 1 < len(rows) and len(rows[r + 1]) >= len(rows[r]):
+        raise ShapeMismatchError(f"row {r} has no removable corner")
+    v = rows[r].pop()
+    for i in range(r - 1, -1, -1):
+        row = rows[i]
         k = bisect_left(row, v) - 1  # rightmost entry strictly below v
         if k < 0:
-            raise NotInImageError(f"row {r} has no entry below {v}: not a tableau")
-        rows[r], v = row[:k] + (v,) + row[k + 1 :], row[k]
-    if rows and not rows[-1]:
+            raise NotInImageError(f"row {i} has no entry below {v}: not a tableau")
+        row[k], v = v, row[k]
+    if not rows[-1]:
         rows.pop()
-    return tuple(rows), v
+    return v
 
 
 def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]:
@@ -129,11 +125,9 @@ def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]
         for c in range(inner[r] + 1, row_len + 1)
     ]
     cells.sort(key=lambda rc: -rc[1])
-    out, values = t, []
-    for r, _ in cells:
-        out, v = reverse_row_insert(out, r)
-        values.append(v)
-    return out, tuple(values)
+    rows = [list(row) for row in t]
+    values = tuple(_unbump(rows, r) for r, _ in cells)
+    return tuple(map(tuple, rows)), values
 
 
 def rsk(biletters) -> tuple[Rows, Rows]:
@@ -156,23 +150,20 @@ def rsk_inverse(p: Rows, q: Rows) -> list[tuple[int, int]]:
     """Invert rsk when the recording tableau is standard on distinct entries."""
     if shape(p) != shape(q):
         raise ShapeMismatchError(f"shapes {shape(p)} and {shape(q)} differ")
-    entries = sorted((x for row in q for x in row), reverse=True)
-    if len(set(entries)) != len(entries):
+    cell = {x: (r, c) for r, row in enumerate(q) for c, x in enumerate(row)}
+    if len(cell) != sum(shape(q)):
         raise NotInImageError("recording tableau entries must be distinct")
+    lengths = list(shape(q))
+    rows = [list(row) for row in p]
     biletters = []
-    for value in entries:
-        r = next(i for i, row in enumerate(q) if value in row)
-        if q[r][-1] != value:
+    for value in sorted(cell, reverse=True):
+        r, c = cell[value]
+        if c != lengths[r] - 1:
             raise NotInImageError(
                 f"recording tableau is not standard: {value} does not end its row"
             )
-        rows = list(q)
-        rows[r] = rows[r][:-1]
-        if rows and not rows[-1]:
-            rows.pop()
-        q = tuple(rows)
-        p, v = reverse_row_insert(p, r)
-        biletters.append((value, v))
+        lengths[r] = c
+        biletters.append((value, _unbump(rows, r)))
     return biletters[::-1]
 
 
@@ -184,10 +175,12 @@ def _symmetric_ones(matrix) -> frozenset[tuple[int, int]]:
             if not (
                 isinstance(c, tuple)
                 and len(c) == 2
-                and isinstance(c[0], int)
-                and isinstance(c[1], int)
+                and type(c[0]) is int
+                and type(c[1]) is int
+                and c[0] >= 1
+                and c[1] >= 1
             ):
-                raise InvalidMatrixError("positions must be integer pairs")
+                raise InvalidMatrixError("positions must be pairs of positive integers")
     else:
         ones = set()
         rows = [tuple(row) for row in matrix]

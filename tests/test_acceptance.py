@@ -138,20 +138,16 @@ def test_criterion_5_oracle_agreement(capsys):
 
 def test_criterion_6_monomial_basis(capsys):
     t0 = perf_counter()
-    cases = [(2, 0), (4, 0), (6, 0)] + _valid_params(5)
     failures = [
         (n, a)
-        for n, a in cases
-        if verify_monomial_basis(n, a)["basis_check"] != "PASS"
+        for n, a in _valid_params(8)
+        if verify_monomial_basis(n, a, size_cap=8)["basis_check"] != "PASS"
     ]
-    if verify_monomial_basis(8, 0, size_cap=8)["basis_check"] != "PASS":
-        failures.append((8, 0))
     elapsed = perf_counter() - t0
     ok = not failures
     _report(
         capsys, 6, ok,
-        f"candidate monomials form a basis for a=0, n in {{2,4,6,8}} and all "
-        f"(n, a) with n <= 5 in {elapsed:.2f}s"
+        f"candidate monomials form a basis for all (n, a) with n <= 8 in {elapsed:.2f}s"
         + (f"; failures: {failures}" if failures else ""),
     )
 

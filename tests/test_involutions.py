@@ -57,6 +57,12 @@ def test_builder_rejects():
         involution(4, [(2, 2)])  # a letter paired with itself
     with pytest.raises(DomainViolationError):
         involution(4, [3])  # not a pair at all
+    for n in (2.5, -1, 0, True, "3"):
+        with pytest.raises(DomainViolationError):
+            involution(n, [])  # not a positive integer
+    for fixed in (["a", 3], 5, [True], [3.0]):
+        with pytest.raises(DomainViolationError):
+            involution(3, [(1, 2)], fixed=fixed)  # not integers
 
 
 def test_count_small_values():

@@ -1,5 +1,6 @@
 """Brute-force ground truth: invariant ranks, Young's rule, and basis verification."""
 
+import json
 import subprocess
 import sys
 from fractions import Fraction
@@ -9,6 +10,7 @@ from math import comb, factorial
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from involution_harmonics import cli, oracle
 from involution_harmonics.errors import (
     InvalidParametersError,
     InvariantError,
@@ -30,6 +32,7 @@ from involution_harmonics.oracle import (
 )
 from involution_harmonics.partitions import partitions_of
 from involution_harmonics.schur import qp_normal
+from involution_harmonics.tableaux import candidate_basis
 
 
 def valid_params(max_n):
@@ -90,7 +93,8 @@ def test_size_cap_configuration(monkeypatch):
     assert oracle_size_cap() == 9
     assert oracle_size_cap(4) == 4  # explicit beats the environment
     # a cap below 1 would refuse every locus: a parameter error, not a size limit
-    for cap in (0, -1):
+    # so would a cap that is not an integer, a bool included
+    for cap in (0, -1, "7", 4.5, True):
         with pytest.raises(InvalidParametersError):
             graded_hilbert(4, 0, size_cap=cap)
         with pytest.raises(InvalidParametersError):
@@ -117,14 +121,19 @@ def test_invariant_ranks_saturate_at_the_orbit_count():
             assert invariant_ranks(n, a, mu)[-1] == len(matchings_of_size(mu, top))
 
 
+def kostka_table(n):
+    return {mu: _complete(mu) for mu in partitions_of(n)}
+
+
 def test_young_decomposition_rejects_a_negative_multiplicity():
+    kostka = kostka_table(2)
     # h_(1,1) = s_(2) + s_(1,1), so rank 1 of S_(1,1) with rank 2 of S_(2) is impossible
     with pytest.raises(InvariantError):
-        _young_decomposition({(2,): (2,), (1, 1): (1,)})
+        _young_decomposition({(2,): (2,), (1, 1): (1,)}, kostka)
     # a multiplicity that falls from one degree to the next
     with pytest.raises(InvariantError):
-        _young_decomposition({(2,): (1, 0), (1, 1): (1, 1)})
-    assert _young_decomposition({(2,): (1, 1), (1, 1): (1, 2)}) == {
+        _young_decomposition({(2,): (1, 0), (1, 1): (1, 1)}, kostka)
+    assert _young_decomposition({(2,): (1, 1), (1, 1): (1, 2)}, kostka) == {
         (2,): (1,), (1, 1): (0, 1)
     }
 
@@ -192,7 +201,7 @@ def reference_oracle(n, a):
     ranks = {mu: invariant_ranks(n, a, mu) for mu in partitions_of(n)}
     identity = ranks[(1,) * n]
     hilbert = qp_normal(r - (identity[d - 1] if d else 0) for d, r in enumerate(identity))
-    return _young_decomposition(ranks), hilbert
+    return _young_decomposition(ranks, kostka_table(n)), hilbert
 
 
 def test_oracle_equals_the_all_subgroup_reference():
@@ -265,3 +274,24 @@ def test_verify_monomial_basis_report_shape():
     assert {frozenset(term) for term in map(dict.keys, report["frobenius"])} == {
         frozenset(["partition", "coeffs"])
     }
+
+
+def test_check_basis_fails_on_a_dependent_candidate(monkeypatch, capsys):
+    # x_12 and x_34 take the same values on the three points of M(4, 0)
+    dependent = [(0, ()), (1, ((1, 2),)), (1, ((3, 4),))]
+    monkeypatch.setattr(oracle, "candidate_basis", lambda n, a: dependent)
+    report = verify_monomial_basis(4, 0)
+    assert report["basis_check"] == "FAIL"
+    assert report["failures"] == ["degree 1 monomial ((3, 4),) is dependent"]
+    capsys.readouterr()
+    assert cli.main(["check", "basis", "--n", "4", "--a", "0"]) == 1
+    assert json.loads(capsys.readouterr().out) == report
+
+
+def test_candidates_form_an_order_ideal():
+    # every sub-matching of a candidate monomial is a candidate too
+    for n, a in valid_params(8):
+        candidates = {m for _, m in candidate_basis(n, a)}
+        for m in candidates:
+            for k in range(len(m)):
+                assert m[:k] + m[k + 1 :] in candidates

@@ -3,7 +3,7 @@
 import itertools
 import subprocess
 import sys
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 
 import pytest
 from hypothesis import given, strategies as st
@@ -30,7 +30,6 @@ from involution_harmonics.tableaux import (
     involution_tableau_pair,
     is_standard_on_content,
     reverse_insert_strip,
-    reverse_row_insert,
     row_insert,
     rsk,
     rsk_inverse,
@@ -68,6 +67,55 @@ def reference_rsk(biletters):
     return p, q
 
 
+def reference_reverse_row_insert(t, row_index):
+    """Inverse insertion from the last box of a row, rebuilding tuples at every bump."""
+    rows = list(t)
+    if row_index + 1 < len(rows) and len(rows[row_index + 1]) >= len(rows[row_index]):
+        raise ShapeMismatchError(f"row {row_index} has no removable corner")
+    row = rows[row_index]
+    v = row[-1]
+    rows[row_index] = row[:-1]
+    for r in range(row_index - 1, -1, -1):
+        row = rows[r]
+        k = bisect_left(row, v) - 1  # rightmost entry strictly below v
+        if k < 0:
+            raise NotInImageError(f"row {r} has no entry below {v}: not a tableau")
+        rows[r], v = row[:k] + (v,) + row[k + 1 :], row[k]
+    if rows and not rows[-1]:
+        rows.pop()
+    return tuple(rows), v
+
+
+def reference_reverse_insert_strip(t, strip):
+    """The strip's boxes pushed out one reverse insertion at a time, rightmost first."""
+    inner = strip.inner + (0,) * (len(strip.outer) - len(strip.inner))
+    cells = [
+        (r, c)
+        for r, row_len in enumerate(strip.outer)
+        for c in range(inner[r] + 1, row_len + 1)
+    ]
+    values = []
+    for r, _ in sorted(cells, key=lambda rc: -rc[1]):
+        t, v = reference_reverse_row_insert(t, r)
+        values.append(v)
+    return t, tuple(values)
+
+
+def reference_rsk_inverse(p, q):
+    """Inverse RSK that scans the recording tableau for each entry and rebuilds tuples."""
+    biletters = []
+    for value in sorted((x for row in q for x in row), reverse=True):
+        r = next(i for i, row in enumerate(q) if value in row)
+        rows = list(q)
+        rows[r] = rows[r][:-1]
+        if rows and not rows[-1]:
+            rows.pop()
+        q = tuple(rows)
+        p, v = reference_reverse_row_insert(p, r)
+        biletters.append((value, v))
+    return biletters[::-1]
+
+
 def test_row_insert_bumps():
     assert row_insert((), 5) == (((5,),), (0, 0))
     assert row_insert(((1, 3),), 2) == (((1, 2), (3,)), (1, 0))
@@ -75,13 +123,27 @@ def test_row_insert_bumps():
 
 
 def test_reverse_row_insert():
-    # inverts the bumping example above
-    assert reverse_row_insert(((1, 2), (3,)), 1) == (((1, 3),), 2)
-    assert reverse_row_insert(((1, 2, 3),), 0) == (((1, 2),), 3)
-    with pytest.raises(ShapeMismatchError):
-        reverse_row_insert(((1, 2), (3, 4)), 0)  # not a removable corner
-    with pytest.raises(NotInImageError):
-        reverse_row_insert(((2,), (1,)), 1)  # the column decreases
+    # the reference inverts the bumping example above
+    assert reference_reverse_row_insert(((1, 2), (3,)), 1) == (((1, 3),), 2)
+    assert reference_reverse_row_insert(((1, 2, 3),), 0) == (((1, 2),), 3)
+
+
+def test_reverse_insertion_matches_the_reference():
+    # every standard tableau of size <= 8 with every stripe under it, and every
+    # pair of standard tableaux of one shape of size <= 7
+    for n in range(1, 9):
+        for lam in partitions_of(n):
+            fillings = standard_tableaux(lam)
+            for inner in stripe_inners(lam):
+                strip = Stripe(lam, inner)
+                for t in fillings:
+                    assert reverse_insert_strip(t, strip) == (
+                        reference_reverse_insert_strip(t, strip)
+                    )
+            if n <= 7:
+                for p in fillings:
+                    for q in fillings:
+                        assert rsk_inverse(p, q) == reference_rsk_inverse(p, q)
 
 
 def test_reverse_insert_strip_values():
@@ -164,6 +226,12 @@ def test_rsk_inverse_rejects():
         rsk_inverse(((1, 1),), ((1, 1),))  # repeated recording entries
     with pytest.raises(NotInImageError):
         rsk_inverse(((1, 2),), ((2, 1),))  # the largest entry ends no row
+    with pytest.raises(ShapeMismatchError, match="^row 0 has no removable corner$"):
+        rsk_inverse(((1, 2), (3, 4)), ((1, 4), (2, 3)))
+    with pytest.raises(
+        NotInImageError, match=r"^row 0 has no entry below 1: not a tableau$"
+    ):
+        rsk_inverse(((2,), (1,)), ((1,), (2,)))  # the column decreases
 
 
 def test_rsk_symmetric_values():
@@ -202,6 +270,12 @@ def test_matrix_validation():
         rsk_symmetric({(1, 2)})  # not symmetric
     with pytest.raises(InvalidMatrixError):
         rsk_symmetric({(1, 2, 3)})  # not a position pair
+    with pytest.raises(InvalidMatrixError):
+        rsk_symmetric({(0, 2), (2, 0)})  # positions are 1-based
+    with pytest.raises(InvalidMatrixError):
+        rsk_symmetric({(True, 2), (2, True)})  # a bool is not a position
+    with pytest.raises(InvalidMatrixError):
+        rsk_symmetric({(-1, 2), (2, -1)})
 
 
 def test_involution_tableau_pair_values():
