@@ -167,9 +167,8 @@ def check_bijections(max_n: int = 8) -> tuple[bool, list[str]]:
         for d in range((n - a) // 2 + 1):
             cap = n - 2 * d + a
             families: dict[Partition, list[Stripe]] = {}
-            for s in _stripes_over_even_inners(2 * d, n - 2 * d):
-                if s.outer[0] <= cap:
-                    families.setdefault(s.outer, []).append(s)
+            for s in _stripes_over_even_inners(2 * d, n - 2 * d, cap):
+                families.setdefault(s.outer, []).append(s)
             widths = wide.get(d, {})
             shapes = families.keys() | widths.keys()
             shapes |= {lam for lam in previous if lam[0] <= cap}

@@ -3,7 +3,8 @@
 For valid (n, a), all three produce the same SchurPoly:
 
 - graded_frobenius_signed: an inclusion-exclusion of Pieri products of even
-  plethysms, truncated by first part, assembled degree by degree;
+  plethysms, truncated by first part inside the products, assembled degree
+  by degree;
 - graded_frobenius_positive: a manifestly positive count of nonnegative
   stripes per degree;
 - graded_frobenius_width: one pass over stripes with even inner of size
@@ -35,15 +36,17 @@ from .stripes import positive_stripes, width_stripes
 def graded_frobenius_signed(n: int, a: int) -> SchurPoly:
     """Sum over d of q^d times the truncated difference of consecutive Pieri products.
 
-    The degree-d product h_{n-2d} h_d[h_2] is built once and subtracted again
-    at degree d + 1.
+    The degree-d product h_{n-2d} h_d[h_2] is built only up to the degree's
+    first-part bound n - 2d + a, and subtracted again at degree d + 1, whose
+    bound is 2 lower, so truncating the difference stays exact.
     """
     check_locus_params(n, a)
     total: SchurPoly = {}
     previous: SchurPoly = {}
     for d in range((n - a) // 2 + 1):
-        current = pieri_mult(plethysm_h_h2(d), n - 2 * d)
-        term = truncate_first_part(schur_sub(current, previous), n - 2 * d + a)
+        bound = n - 2 * d + a
+        current = pieri_mult(plethysm_h_h2(d), n - 2 * d, bound)
+        term = truncate_first_part(schur_sub(current, previous), bound)
         for lam, coeff in term.items():
             _accumulate(total, lam, qp_shift(coeff, d))
         previous = current

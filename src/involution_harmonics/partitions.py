@@ -94,28 +94,35 @@ def syt_count(p: Partition) -> int:
     return factorial(sum(p)) // hooks
 
 
-def horizontal_strips_over(inner: Partition, size: int) -> list[Partition]:
+def horizontal_strips_over(
+    inner: Partition, size: int, max_first_part: int | None = None
+) -> list[Partition]:
     """Outer shapes reached from `inner` by adding `size` boxes, no two per column.
 
-    Returns them in decreasing lexicographic order; a negative size raises
-    InvalidParametersError.
+    Returns them in decreasing lexicographic order, optionally keeping only
+    those whose first part is at most max_first_part; a negative size or
+    bound raises InvalidParametersError.
     """
     if size < 0:
         raise InvalidParametersError(f"strip size must be nonnegative, got {size}")
+    if max_first_part is not None and max_first_part < 0:
+        raise InvalidParametersError(f"bound must be nonnegative, got {max_first_part}")
+    first = inner[0] if inner else 0
+    bound = first + size if max_first_part is None else max_first_part
+    if max(first, size) > bound:
+        return []
     rows = len(inner)
     out: list[Partition] = []
     acc: list[int] = []
 
     def rec(i: int, remaining: int) -> None:
         if i == rows:
-            if remaining == 0:
-                out.append(tuple(acc))
-            elif remaining <= (inner[-1] if rows else remaining):
-                out.append((*acc, remaining))
+            out.append((*acc, remaining) if remaining else tuple(acc))
             return
         low = inner[i]
-        high = min(inner[i - 1] if i else low + remaining, low + remaining)
-        for part in range(high, low - 1, -1):
+        high = min(inner[i - 1] if i else bound, low + remaining)
+        # the rows below, and a new last row, fit at most inner[i] more boxes
+        for part in range(high, max(low, remaining) - 1, -1):
             acc.append(part)
             rec(i + 1, remaining - (part - low))
             acc.pop()

@@ -66,17 +66,20 @@ def h_complete(a: int) -> SchurPoly:
     return {(a,) if a else (): QP_ONE}
 
 
-def pieri_mult(f: SchurPoly, a: int) -> SchurPoly:
+def pieri_mult(f: SchurPoly, a: int, max_first_part: int | None = None) -> SchurPoly:
     """Multiply by the degree-a complete homogeneous generator.
 
     Each Schur term spreads over the outer shapes reached by adding a boxes
-    with no two in one column.
+    with no two in one column; with a bound, only the terms whose first part
+    is at most max_first_part are built.
     """
     if a < 0:
         raise InvalidParametersError(f"degree must be nonnegative, got {a}")
+    if max_first_part is not None and max_first_part < 0:
+        raise InvalidParametersError(f"bound must be nonnegative, got {max_first_part}")
     out: SchurPoly = {}
     for mu, coeff in f.items():
-        for lam in horizontal_strips_over(mu, a):
+        for lam in horizontal_strips_over(mu, a, max_first_part):
             _accumulate(out, lam, coeff)
     return out
 

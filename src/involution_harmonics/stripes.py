@@ -178,17 +178,20 @@ def in_width_family(s: Stripe, n: int, a: int, d: int) -> bool:
     )
 
 
-def _stripes_over_even_inners(inner_size: int, added: int) -> list[Stripe]:
+def _stripes_over_even_inners(
+    inner_size: int, added: int, max_first_part: int | None = None
+) -> list[Stripe]:
     """Every stripe with an even inner of size `inner_size` and `added` boxes on top.
 
     Each even inner is a doubled partition of inner_size / 2, and its stripes
-    are the Pieri outers over it; they are sorted into the decreasing
-    (outer, inner) order of an outer-first walk.
+    are the Pieri outers over it, built only up to max_first_part when one is
+    given; they are sorted into the decreasing (outer, inner) order of an
+    outer-first walk.
     """
     stripes = [
         Stripe(outer, inner)
         for inner in even_partitions_of(inner_size)
-        for outer in horizontal_strips_over(inner, added)
+        for outer in horizontal_strips_over(inner, added, max_first_part)
     ]
     stripes.sort(reverse=True)
     return stripes
@@ -198,14 +201,13 @@ def positive_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
     """The positive formula's index set: each nonnegative stripe with its degree d.
 
     Enumerates inner-first: per degree, every stripe over an even inner of
-    size 2d, kept when its first part fits under n - 2d + a and its path
-    never dips below 0.
+    size 2d whose first part fits under n - 2d + a, a cap the enumerator
+    applies as it builds the outers, kept when its path never dips below 0.
     """
     check_locus_params(n, a)
     for d in range((n - a) // 2 + 1):
-        cap = n - 2 * d + a
-        for s in _stripes_over_even_inners(2 * d, n - 2 * d):
-            if s.outer[0] <= cap and in_nonnegative_family(s, d):
+        for s in _stripes_over_even_inners(2 * d, n - 2 * d, n - 2 * d + a):
+            if in_nonnegative_family(s, d):
                 yield s, d
 
 

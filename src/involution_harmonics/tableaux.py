@@ -208,7 +208,11 @@ def rsk_symmetric(matrix) -> Rows:
     recording tableau always equals the insertion tableau here, and the zero
     diagonal forces every column length of the shape to be even.
     """
-    ones = _symmetric_ones(matrix)
+    return _symmetric_tableau(_symmetric_ones(matrix))
+
+
+def _symmetric_tableau(ones) -> Rows:
+    """rsk_symmetric on a set of positions already known to be symmetric, zero-diagonal."""
     p, q = rsk(ones)
     if p != q:
         raise InvariantError(f"symmetric matrix gave insertion {p}, recording {q}")
@@ -241,7 +245,7 @@ def involution_tableau_pair(w: Involution) -> tuple[Rows, Stripe]:
     """
     w = involution(w.n, w.pairs, w.fixed)
     ones = frozenset(cell for i, j in w.pairs for cell in ((i, j), (j, i)))
-    rows = [list(row) for row in rsk_symmetric(ones)]
+    rows = [list(row) for row in _symmetric_tableau(ones)]
     nu = tuple(map(len, rows))
     for v in w.fixed:
         _bump(rows, v)

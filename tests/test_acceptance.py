@@ -90,7 +90,7 @@ def test_criterion_2_domino_worked_example(capsys):
 
 def test_criterion_3_three_routes_agree(capsys):
     t0 = perf_counter()
-    pairs = _valid_params(8)
+    pairs = _valid_params(16)
     agree = all(
         graded_frobenius_signed(n, a)
         == graded_frobenius_positive(n, a)
@@ -98,11 +98,11 @@ def test_criterion_3_three_routes_agree(capsys):
         for n, a in pairs
     )
     elapsed = perf_counter() - t0
-    ok = agree and len(pairs) == 24 and elapsed < 30
+    ok = agree and len(pairs) == 80 and elapsed < 30
     _report(
         capsys, 3, ok,
         f"signed, positive and width routes agree on all {len(pairs)} "
-        f"parameter pairs with n <= 8 in {elapsed:.2f}s",
+        f"parameter pairs with n <= 16 in {elapsed:.2f}s",
     )
 
 

@@ -148,8 +148,8 @@ def test_check_bijections_fails_when_a_family_goes_missing(
     # shape for the family one degree lower or for the width family
     real = checks._stripes_over_even_inners
 
-    def dropped(inner_size, added):
-        stripes = real(inner_size, added)
+    def dropped(inner_size, added, max_first_part=None):
+        stripes = real(inner_size, added, max_first_part)
         if (inner_size, added) == (2 * d, n - 2 * d):
             stripes = [s for s in stripes if s.outer != outer]
         return stripes

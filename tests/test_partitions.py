@@ -18,6 +18,7 @@ from involution_harmonics.partitions import (
     stripe_inners,
     syt_count,
 )
+from involution_harmonics.schur import QP_ONE, pieri_mult
 
 from families import even_inner_stripes
 
@@ -200,20 +201,27 @@ def test_horizontal_strips_over_rejects_a_negative_size():
     for inner in [(), (2, 1)]:
         with pytest.raises(InvalidParametersError):
             horizontal_strips_over(inner, -1)
+        with pytest.raises(InvalidParametersError):
+            horizontal_strips_over(inner, 2, -1)
+        with pytest.raises(InvalidParametersError):
+            pieri_mult({inner: QP_ONE}, 2, -1)
+    with pytest.raises(InvalidParametersError):
+        pieri_mult({}, 2, -1)
 
 
 def test_horizontal_strips_over_is_exhaustive():
     for m in range(7):
         for mu in partitions_of(m):
             for size in range(5):
-                got = list(horizontal_strips_over(mu, size))
-                expected = [
-                    lam
-                    for lam in partitions_of(m + size)
-                    if is_horizontal_stripe(lam, mu)
-                ]
-                assert sorted(got, reverse=True) == expected
-                assert got == sorted(got, reverse=True)
+                for bound in [None, *range(m + size + 2)]:
+                    got = list(horizontal_strips_over(mu, size, bound))
+                    expected = [
+                        lam
+                        for lam in partitions_of(m + size)
+                        if is_horizontal_stripe(lam, mu)
+                        and (bound is None or (lam[0] if lam else 0) <= bound)
+                    ]
+                    assert got == expected
 
 
 def test_stripe_inners_is_exhaustive():

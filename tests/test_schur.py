@@ -124,6 +124,13 @@ def test_truncate_first_part():
     assert truncate_first_part(f, 0) == {(): QP_ONE}
     with pytest.raises(InvalidParametersError):
         truncate_first_part(f, -1)
+    # a bound inside the Pieri product builds exactly the terms truncation keeps
+    for d in range(4):
+        for a in range(4):
+            g = plethysm_h_h2(d)
+            full = pieri_mult(g, a)
+            for bound in range(2 * d + a + 2):
+                assert pieri_mult(g, a, bound) == truncate_first_part(full, bound)
 
 
 def test_schur_add_sub_shift():
