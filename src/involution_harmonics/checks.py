@@ -28,12 +28,12 @@ from .involutions import count_involutions
 from .partitions import Partition, Stripe, partitions_of, stripe_inners
 from .schur import qp_at_one, schur_at_one
 from .stripes import (
+    _path_width,
     _stripes_over_even_inners,
     in_nonnegative_family,
     matched_pairs,
     stripe_from_columns,
     stripe_steps,
-    width,
     width_by_matching,
     width_by_prefix_sums,
     width_stripes,
@@ -67,13 +67,14 @@ def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
         count += 1
         steps = stripe_steps(s)
         pairs = matched_pairs(steps)
-        w = width(s)
+        boxes = sum(s.outer) - sum(s.inner)
+        w = _path_width(steps)
         if not (w == width_by_matching(steps, pairs) == width_by_prefix_sums(steps)):
             failures.append(f"width mismatch on {s}")
         columns = len(steps)
-        if not columns <= w <= columns + 2 * (sum(s.outer) - sum(s.inner)):
+        if not columns <= w <= columns + 2 * boxes:
             failures.append(f"width {w} out of range on {s}")
-        if len(pairs) != sum(s.outer) - sum(s.inner):
+        if len(pairs) != boxes:
             failures.append(f"matching misses ascents on {s}")
         ascents = {j for j, step in enumerate(steps, 1) if step == 1}
         if stripe_from_columns(s.outer, ascents) != s:

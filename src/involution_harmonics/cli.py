@@ -174,8 +174,8 @@ def _cmd_enumerate_involutions(args) -> int:
         histogram[image_width] = histogram.get(image_width, 0) + 1
         rows.append(
             {
-                "pairs": [list(p) for p in w.pairs],
-                "fixed": list(w.fixed),
+                "pairs": w.pairs,
+                "fixed": w.fixed,
                 "image_width": image_width,
             }
         )

@@ -30,7 +30,7 @@ class InvariantError(RuntimeError):
 
 
 def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
+    return type(x) is int or (isinstance(x, int) and not isinstance(x, bool))
 
 
 def check_locus_params(n, a):

@@ -54,7 +54,6 @@ from .errors import (
     InvalidParametersError,
     InvariantError,
     ResourceLimitError,
-    ShapeMismatchError,
     _is_int,
     check_locus_params,
 )
@@ -206,14 +205,6 @@ def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[
             f"does not reach the {size} point types"
         )
     return tuple(ranks)
-
-
-def invariant_ranks(n: int, a: int, mu: Partition) -> tuple[int, ...]:
-    """dim F_d^{S_mu} by exact elimination, after checking n, a and mu."""
-    check_locus_params(n, a)
-    if sum(mu) != n:
-        raise ShapeMismatchError(f"{mu} is not a composition of {n}")
-    return _ranks(n, a, mu, matchings_of_size(mu, (n - a) // 2))
 
 
 def _complete(mu: Partition) -> SchurPoly:

@@ -14,6 +14,7 @@ from typing import Iterator
 from .errors import (
     DomainViolationError,
     InvariantError,
+    _is_int,
     check_degree_params,
     check_locus_params,
 )
@@ -76,10 +77,11 @@ def stripe_from_columns(outer: Partition, columns) -> Stripe:
     """
     cols = set(columns)
     last = outer[0] if outer else 0
-    if not all(isinstance(c, int) and 1 <= c <= last for c in cols):
-        raise DomainViolationError(
-            f"columns {sorted(cols)!r} do not all index columns of {outer}"
-        )
+    for c in cols:
+        if not (_is_int(c) and 0 < c <= last):
+            raise DomainViolationError(
+                f"columns {sorted(cols)!r} do not all index columns of {outer}"
+            )
     inner: list[int] = []
     for i, right in enumerate(outer):
         below = outer[i + 1] if i + 1 < len(outer) else 0
@@ -116,17 +118,25 @@ def matched_pairs(steps: Steps) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
+def _path_width(steps: Steps) -> int:
+    """The closed form of width() on a stored prefix: len(steps) + y(end) - min(y)."""
+    height = low = 0
+    for step in steps:
+        height += step
+        if height < low:
+            low = height
+    return len(steps) + height - low
+
+
 def width(s: Stripe) -> int:
     """Horizontal extent of the stripe's matching.
 
     Equals the largest descent position used by matched_pairs, but never less
-    than the column count of the outer shape.  Computed in closed form: the
-    number of ascents still open at the end of the prefix is
-    y(end) - min(y), and they close one tail step apiece.
+    than the column count of the outer shape.  Computed in closed form by
+    _path_width on the stripe's steps: the number of ascents still open at the
+    end of the prefix is y(end) - min(y), and they close one tail step apiece.
     """
-    steps = stripe_steps(s)
-    heights = steps_heights(steps)
-    return len(steps) + heights[-1] - min(heights)
+    return _path_width(stripe_steps(s))
 
 
 def width_by_matching(steps: Steps, pairs: list[tuple[int, int]]) -> int:

@@ -8,8 +8,11 @@ general nonnegative-integer matrices through the sorted two-line array and then
 specialized to the symmetric zero-diagonal case, where the insertion and
 recording tableaux coincide and the shape has even column lengths.
 
-Those identities, and the others the symmetric maps rely on, are checked on
-every result and raise InvariantError when broken, also under python -O.
+In the symmetric maps the rows stay lists from the first insertion to the last
+check and become tuples once, at the end.  Both symmetric invariants, equal
+insertion and recording rows and even column lengths, are checked on those
+lists.  They, and the other identities the symmetric maps rely on, are checked
+on every result and raise InvariantError when broken, also under python -O.
 """
 
 from __future__ import annotations
@@ -130,12 +133,8 @@ def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]
     return tuple(map(tuple, rows)), values
 
 
-def rsk(biletters) -> tuple[Rows, Rows]:
-    """Row-insertion correspondence on a multiset of (row, column) biletters.
-
-    The recording tableau grows by the box each insertion adds, so it keeps
-    the shape of the insertion tableau.
-    """
+def _rsk_rows(biletters) -> tuple[list[list[int]], list[list[int]]]:
+    """rsk on mutable rows: the insertion and recording rows as lists."""
     p: list[list[int]] = []
     q: list[list[int]] = []
     for top, bottom in sorted(biletters):
@@ -143,6 +142,16 @@ def rsk(biletters) -> tuple[Rows, Rows]:
         if r == len(q):
             q.append([])
         q[r].append(top)
+    return p, q
+
+
+def rsk(biletters) -> tuple[Rows, Rows]:
+    """Row-insertion correspondence on a multiset of (row, column) biletters.
+
+    The recording tableau grows by the box each insertion adds, so it keeps
+    the shape of the insertion tableau.
+    """
+    p, q = _rsk_rows(biletters)
     return tuple(map(tuple, p)), tuple(map(tuple, q))
 
 
@@ -208,16 +217,20 @@ def rsk_symmetric(matrix) -> Rows:
     recording tableau always equals the insertion tableau here, and the zero
     diagonal forces every column length of the shape to be even.
     """
-    return _symmetric_tableau(_symmetric_ones(matrix))
+    return tuple(map(tuple, _symmetric_tableau(_symmetric_ones(matrix))))
 
 
-def _symmetric_tableau(ones) -> Rows:
-    """rsk_symmetric on a set of positions already known to be symmetric, zero-diagonal."""
-    p, q = rsk(ones)
+def _symmetric_tableau(ones) -> list[list[int]]:
+    """rsk_symmetric on positions already known to be symmetric, zero-diagonal.
+
+    Returns the insertion rows as lists, for the caller to convert or extend.
+    """
+    p, q = _rsk_rows(ones)
     if p != q:
         raise InvariantError(f"symmetric matrix gave insertion {p}, recording {q}")
-    if not is_even_partition(conjugate(shape(p))):
-        raise InvariantError(f"zero-diagonal matrix gave odd-column shape {shape(p)}")
+    lengths = tuple(map(len, p))
+    if not is_even_partition(conjugate(lengths)):
+        raise InvariantError(f"zero-diagonal matrix gave odd-column shape {lengths}")
     return p
 
 
@@ -244,8 +257,7 @@ def involution_tableau_pair(w: Involution) -> tuple[Rows, Stripe]:
     the shape of the pairs-only tableau.
     """
     w = involution(w.n, w.pairs, w.fixed)
-    ones = frozenset(cell for i, j in w.pairs for cell in ((i, j), (j, i)))
-    rows = [list(row) for row in _symmetric_tableau(ones)]
+    rows = _symmetric_tableau([cell for i, j in w.pairs for cell in ((i, j), (j, i))])
     nu = tuple(map(len, rows))
     for v in w.fixed:
         _bump(rows, v)

@@ -16,15 +16,16 @@ from involution_harmonics.errors import (
     InvariantError,
     ResourceLimitError,
     ShapeMismatchError,
+    check_locus_params,
 )
 from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
 from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import (
     _complete,
+    _ranks,
     _reduce_column,
     _young_decomposition,
     graded_hilbert,
-    invariant_ranks,
     matchings_of_size,
     oracle_graded_frobenius,
     oracle_size_cap,
@@ -39,6 +40,14 @@ def valid_params(max_n):
     for n in range(1, max_n + 1):
         for a in range(n % 2, n + 1, 2):
             yield n, a
+
+
+def invariant_ranks(n, a, mu):
+    """dim F_d^{S_mu} by exact elimination, after checking n, a and mu."""
+    check_locus_params(n, a)
+    if sum(mu) != n:
+        raise ShapeMismatchError(f"{mu} is not a composition of {n}")
+    return _ranks(n, a, mu, matchings_of_size(mu, (n - a) // 2))
 
 
 def letter_pairs(matching):

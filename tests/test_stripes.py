@@ -7,6 +7,7 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from involution_harmonics import checks, cli
 from involution_harmonics.errors import DomainViolationError
 from involution_harmonics.partitions import (
     Stripe,
@@ -176,6 +177,44 @@ def test_stripe_from_columns_rejects():
         stripe_from_columns((3, 1), {5})
     with pytest.raises(DomainViolationError):
         stripe_from_columns((2, 2), {1})  # removing column 1 only breaks the shape
+    # True == 1, but a bool indexes no column
+    with pytest.raises(DomainViolationError, match="do not all index columns"):
+        stripe_from_columns((2,), {True, 2})
+    with pytest.raises(DomainViolationError, match="do not all index columns"):
+        stripe_from_columns((2,), {True})
+
+
+# the only stripe of outer size <= 4 whose path is N S N
+BROKEN = Stripe((3, 1), (2,))
+
+
+def assert_width_sweep_fails_once(line, capsys):
+    assert checks.check_width(4) == (False, [line])
+    assert cli.main(["check", "width", "--max-n", "4"]) == 1
+    assert capsys.readouterr().out.splitlines() == [line, "FAIL"]
+
+
+@pytest.mark.parametrize("name", ["_path_width", "width_by_matching", "width_by_prefix_sums"])
+def test_check_width_fails_when_one_width_is_off(monkeypatch, capsys, name):
+    real = getattr(checks, name)
+    broken_steps = stripe_steps(BROKEN)
+
+    def off_by_one(steps, *rest):
+        return real(steps, *rest) + (steps == broken_steps)
+
+    monkeypatch.setattr(checks, name, off_by_one)
+    assert_width_sweep_fails_once(f"width mismatch on {BROKEN}", capsys)
+
+
+def test_check_width_fails_when_a_reconstruction_is_wrong(monkeypatch, capsys):
+    real = checks.stripe_from_columns
+
+    def wrong(outer, columns):
+        s = real(outer, columns)
+        return Stripe(s.outer, s.outer) if s == BROKEN else s
+
+    monkeypatch.setattr(checks, "stripe_from_columns", wrong)
+    assert_width_sweep_fails_once(f"column reconstruction fails on {BROKEN}", capsys)
 
 
 @given(st.data())

@@ -315,15 +315,26 @@ def test_involution_tableau_pair_matches_composite():
                 assert involution_tableau_pair(w) == (q, Stripe(shape(q), shape(p)))
 
 
-def test_involution_tableau_pair_raises_when_optimized_and_rsk_breaks():
-    # asserts vanish under -O; the symmetry check must not
+def run_optimized_with_broken_rsk(call):
+    """Run `call` under python -O with insertion and recording rows disagreeing."""
     code = (
         "import involution_harmonics.tableaux as t\n"
         "from involution_harmonics.involutions import involution\n"
-        "t.rsk = lambda biletters: (((1,), (2,)), ((1, 2),))\n"
-        "print(t.involution_tableau_pair(involution(2, [(1, 2)])))\n"
+        "t._rsk_rows = lambda biletters: ([[1], [2]], [[1, 2]])\n"
+        f"print({call})\n"
     )
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+
+
+def test_involution_tableau_pair_raises_when_optimized_and_rsk_breaks():
+    # asserts vanish under -O; the symmetry check must not
+    out = run_optimized_with_broken_rsk("t.involution_tableau_pair(involution(2, [(1, 2)]))")
+    assert out.returncode != 0
+    assert "InvariantError" in out.stderr
+
+
+def test_rsk_symmetric_raises_when_optimized_and_rsk_breaks():
+    out = run_optimized_with_broken_rsk("t.rsk_symmetric({(1, 2), (2, 1)})")
     assert out.returncode != 0
     assert "InvariantError" in out.stderr
 
