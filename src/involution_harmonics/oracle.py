@@ -22,24 +22,27 @@ dim F_d^{S_mu} is an exact integer rank, and Young's rule
     dim F_d^{S_mu} = sum over lambda of K(lambda, mu) * mult_lambda(F_d)
 
 recovers every multiplicity, because the Kostka matrix K is unitriangular in
-decreasing lexicographic order.
+decreasing lexicographic order.  Its rows are integer, each built from the row
+of mu without its last part by the one Pieri enumerator.
 
 Full matchings give the indicators of point types, so at the top degree the
 invariants are all functions on the S_mu-orbits of points and dim F_top^{S_mu}
-is the number of orbit types, with no elimination.  Young's rule on these
-counts gives every ungraded multiplicity, and since each F_d lies in F_top, a
-lambda with ungraded multiplicity 0 has multiplicity 0 in every degree.  So
-ranks are eliminated only for the mu that occur.  That leaves out (1^n) for
-n >= 2, whose stabilizers hold a transposition, and the other long mu, which
-carry nearly all of the rank work.  The graded dimensions are Young's rule at
-mu = (1^n), the sum over lambda of K(lambda, 1^n) * mult_lambda(F_d), from the
-same multiplicities.  One call builds each mu's top-degree types and h_mu
-once; `check basis` evaluates the candidates on the same (1^n) types, as
-orbit-sum columns from the same builder.
+is the number of orbit types, with no elimination; the types are counted, not
+listed.  Young's rule on these counts gives every ungraded multiplicity, and
+since each F_d lies in F_top, a lambda with ungraded multiplicity 0 has
+multiplicity 0 in every degree.  So types are listed and ranks eliminated
+only for the mu that occur.  That leaves out (1^n) for n >= 2, whose
+stabilizers hold a transposition, and the other long mu, which carry nearly
+all of the rank work.  The graded dimensions are Young's rule at mu = (1^n),
+the sum over lambda of K(lambda, 1^n) * mult_lambda(F_d), from the same
+multiplicities.  `check basis` evaluates the candidates on the (1^n) types;
+their columns are 0/1, and a full rank over GF(2) certifies them before any
+exact elimination.
 
-Every rank that is computed must saturate at the number of point types by
-the top degree, and every multiplicity, ungraded or graded, must be
-nonnegative; both are checked, never assumed.  The elimination is sparse,
+Every list of types must be as long as its count, every rank that is
+computed must saturate at the number of point types by the top degree, and
+every multiplicity, ungraded or graded, must be nonnegative; all are checked,
+never assumed.  The elimination is sparse,
 fraction-free and exact: a column keeps only its non-zero integer entries,
 each pivot step multiplies through instead of dividing, and every reduced
 column is divided by its content.
@@ -49,6 +52,7 @@ from __future__ import annotations
 
 import os
 from math import comb, gcd, prod
+from typing import Iterable
 
 from .errors import (
     InvalidParametersError,
@@ -57,8 +61,8 @@ from .errors import (
     _is_int,
     check_locus_params,
 )
-from .partitions import Partition, partitions_of
-from .schur import QP_ONE, QPoly, SchurPoly, pieri_mult, qp_add, qp_normal, schur_terms
+from .partitions import Partition, horizontal_strips_over, partitions_of
+from .schur import QPoly, SchurPoly, qp_add, qp_normal, schur_terms
 from .tableaux import candidate_basis
 
 DEFAULT_SIZE_CAP = 6
@@ -136,6 +140,48 @@ def matchings_of_size(mu: Partition, d: int) -> tuple[Matching, ...]:
     return tuple(out)
 
 
+def _type_counts(mus: Iterable[Partition], d: int) -> dict[Partition, int]:
+    """len(matchings_of_size(mu, d)) for each mu, counted without listing the types.
+
+    A type is a multigraph with loops and d edges on the blocks of mu, where a
+    loop uses two letters of its block and an edge one letter of each end.  Its
+    count depends only on the multiset of block capacities, so the smallest
+    block is removed with each choice of its edges and loops, and the counts
+    are memoized on the sorted capacities left.
+    """
+    memo: dict[tuple[Partition, int], int] = {}
+
+    def count(caps: Partition, need: int) -> int:
+        # caps: the capacities left, decreasing, zeros left out
+        if need == 0:
+            return 1
+        if 2 * need > sum(caps):
+            return 0
+        key = (caps, need)
+        if key not in memo:
+            *rest, head = caps
+            total = 0
+
+            def spread(i: int, free: int, edges: int) -> None:
+                nonlocal total
+                if i == len(rest):
+                    left = tuple(sorted(filter(None, rest), reverse=True))
+                    for loops in range(min(free // 2, need - edges) + 1):
+                        total += count(left, need - edges - loops)
+                    return
+                cap = rest[i]
+                for x in range(min(cap, free, need - edges) + 1):
+                    rest[i] = cap - x
+                    spread(i + 1, free - x, edges + x)
+                rest[i] = cap
+
+            spread(0, head, 0)
+            memo[key] = total
+        return memo[key]
+
+    return {mu: count(tuple(sorted(mu, reverse=True)), d) for mu in mus}
+
+
 def _reduce_column(col: Column, basis: list[tuple[int, Column]]) -> Column:
     """Eliminate col against the stored pivots, exactly, over the integers.
 
@@ -163,6 +209,27 @@ def _reduce_column(col: Column, basis: list[tuple[int, Column]]) -> Column:
             if g > 1:
                 v = {i: x // g for i, x in v.items()}
     return v
+
+
+def _gf2_rank(columns: Iterable[int]) -> int:
+    """The rank over GF(2) of columns given as bitmasks, by XOR elimination.
+
+    Each stored pivot is keyed on its highest set bit, and XOR with it clears
+    that bit of a column without setting any higher one.  A full rank mod 2
+    implies a full rank over Q.  On the candidate columns of `check basis`,
+    keying on the highest bit meets far shorter chains of pivots than keying
+    on the lowest.
+    """
+    pivots: dict[int, int] = {}
+    for v in columns:
+        while v:
+            top = v.bit_length()
+            pivot = pivots.get(top)
+            if pivot is None:
+                pivots[top] = v
+                break
+            v ^= pivot
+    return len(pivots)
 
 
 def _rows(types: tuple[Matching, ...]) -> list[tuple[dict, frozenset]]:
@@ -207,16 +274,28 @@ def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[
     return tuple(ranks)
 
 
-def _complete(mu: Partition) -> SchurPoly:
-    """h_mu in the Schur basis; its coefficients are the Kostka numbers K(lambda, mu)."""
-    h: SchurPoly = {(): QP_ONE}
-    for part in mu:
-        h = pieri_mult(h, part)
-    return h
+def _kostka_rows(n: int) -> dict[Partition, dict[Partition, int]]:
+    """{mu: {lambda: K(lambda, mu)}} for every mu of n, the Schur expansions of h_mu.
+
+    The row of mu is the row of mu without its last part, pushed through the
+    Pieri rule for that part, so each row of a smaller partition is built once.
+    """
+    rows: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+
+    def row(mu: Partition) -> dict[Partition, int]:
+        if mu not in rows:
+            out: dict[Partition, int] = {}
+            for lam, k in row(mu[:-1]).items():
+                for outer in horizontal_strips_over(lam, mu[-1]):
+                    out[outer] = out.get(outer, 0) + k
+            rows[mu] = out
+        return rows[mu]
+
+    return {mu: row(mu) for mu in partitions_of(n)}
 
 
 def _young_decomposition(
-    ranks: dict[Partition, tuple[int, ...]], kostka: dict[Partition, SchurPoly]
+    ranks: dict[Partition, tuple[int, ...]], kostka: dict[Partition, dict[Partition, int]]
 ) -> SchurPoly:
     """Graded multiplicities from the invariant ranks of Young subgroups and h_mu.
 
@@ -230,7 +309,7 @@ def _young_decomposition(
         h_mu = kostka[mu]
         cumulative = list(r)
         for lam, mult in filtration.items():
-            k = h_mu.get(lam, (0,))[0]
+            k = h_mu.get(lam, 0)
             for d, m in enumerate(mult):
                 cumulative[d] -= k * m
         filtration[mu] = cumulative
@@ -242,10 +321,8 @@ def _young_decomposition(
     return out
 
 
-def _oracle(
-    n: int, a: int, size_cap: int | None
-) -> tuple[SchurPoly, QPoly, tuple[Matching, ...]]:
-    """The graded Frobenius expansion, the Hilbert series and the (1^n) types."""
+def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
+    """The graded Frobenius expansion and the Hilbert series."""
     check_locus_params(n, a)
     cap = oracle_size_cap(size_cap)
     if n > cap:
@@ -253,16 +330,25 @@ def _oracle(
             f"n={n} exceeds the oracle size cap {cap}; raise it explicitly "
             f"or via {SIZE_CAP_ENV}"
         )
-    kostka = {mu: _complete(mu) for mu in partitions_of(n)}
-    types = {mu: matchings_of_size(mu, (n - a) // 2) for mu in kostka}
-    ungraded = _young_decomposition({mu: (len(t),) for mu, t in types.items()}, kostka)
-    ranks = {mu: _ranks(n, a, mu, types[mu]) for mu in ungraded}
+    top = (n - a) // 2
+    kostka = _kostka_rows(n)
+    counts = _type_counts(partitions_of(n), top)
+    ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()}, kostka)
+    ranks = {}
+    for mu in ungraded:
+        types = matchings_of_size(mu, top)
+        if len(types) != counts[mu]:
+            raise InvariantError(
+                f"{len(types)} top-degree types of n={n}, a={a}, mu={mu} "
+                f"listed, {counts[mu]} counted"
+            )
+        ranks[mu] = _ranks(n, a, mu, types)
     frobenius = _young_decomposition(ranks, kostka)
-    ones = (1,) * n
+    dims = kostka[(1,) * n]
     hilbert: QPoly = ()
     for lam, coeff in frobenius.items():
-        hilbert = qp_add(hilbert, tuple(kostka[ones][lam][0] * c for c in coeff))
-    return frobenius, hilbert, types[ones]
+        hilbert = qp_add(hilbert, tuple(dims[lam] * c for c in coeff))
+    return frobenius, hilbert
 
 
 def graded_hilbert(n: int, a: int, *, size_cap: int | None = None) -> QPoly:
@@ -282,11 +368,19 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
 
     PASS means: per degree the candidate count matches the graded Hilbert
     coefficient, and all candidate evaluation columns taken together are
-    linearly independent (hence a basis of the function space).
+    linearly independent (hence a basis of the function space).  The columns
+    are 0/1, so a full rank over GF(2) proves them independent; only a short
+    one reruns the exact elimination, which alone decides a dependence.
     """
-    frobenius, hilbert, points = _oracle(n, a, size_cap)
-    candidates = candidate_basis(n, a)
+    frobenius, hilbert = _oracle(n, a, size_cap)
     top = (n - a) // 2
+    points = matchings_of_size((1,) * n, top)
+    if len(points) != sum(hilbert):
+        raise InvariantError(
+            f"{len(points)} points of n={n}, a={a} listed, "
+            f"graded dimensions sum to {sum(hilbert)}"
+        )
+    candidates = sorted(candidate_basis(n, a), key=lambda dm: dm[0])
     profile = [0] * (top + 1)
     for d, _ in candidates:
         profile[d] += 1
@@ -300,15 +394,28 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
     monomials = [m for _, m in candidates]
     if len(set(monomials)) != len(monomials):
         failures.append("candidate monomials collide")
-    rows = _rows(points)
-    basis: list[tuple[int, Column]] = []
-    for d, monomial in sorted(candidates, key=lambda dm: dm[0]):
-        m = tuple(((i - 1, j - 1), 1) for i, j in monomial)
-        reduced = _reduce_column(_column(m, rows), basis)
-        if not reduced:
-            failures.append(f"degree {d} monomial {monomial} is dependent")
-            break
-        basis.append((min(reduced), reduced))
+    # bit p of a pair's mask is set when point p holds the pair
+    masks: dict[tuple[int, int], int] = {}
+    for p, point in enumerate(points):
+        for pair, _ in point:
+            masks[pair] = masks.get(pair, 0) | 1 << p
+    everywhere = (1 << len(points)) - 1
+    columns = []
+    for _, monomial in candidates:
+        column = everywhere
+        for i, j in monomial:
+            column &= masks.get((i - 1, j - 1), 0)
+        columns.append(column)
+    if _gf2_rank(columns) < len(candidates):
+        rows = _rows(points)
+        basis: list[tuple[int, Column]] = []
+        for d, monomial in candidates:
+            m = tuple(((i - 1, j - 1), 1) for i, j in monomial)
+            reduced = _reduce_column(_column(m, rows), basis)
+            if not reduced:
+                failures.append(f"degree {d} monomial {monomial} is dependent")
+                break
+            basis.append((min(reduced), reduced))
     while profile and profile[-1] == 0:
         profile.pop()
     report = {

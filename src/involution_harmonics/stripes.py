@@ -79,8 +79,11 @@ def stripe_from_columns(outer: Partition, columns) -> Stripe:
     last = outer[0] if outer else 0
     for c in cols:
         if not (_is_int(c) and 0 < c <= last):
+            # integers in order, then the rest by repr: mixed types do not compare
+            shown = sorted(filter(_is_int, cols))
+            shown += sorted((x for x in cols if not _is_int(x)), key=repr)
             raise DomainViolationError(
-                f"columns {sorted(cols)!r} do not all index columns of {outer}"
+                f"columns {shown!r} do not all index columns of {outer}"
             )
     inner: list[int] = []
     for i, right in enumerate(outer):

@@ -140,14 +140,14 @@ def test_criterion_6_monomial_basis(capsys):
     t0 = perf_counter()
     failures = [
         (n, a)
-        for n, a in _valid_params(8)
-        if verify_monomial_basis(n, a, size_cap=8)["basis_check"] != "PASS"
+        for n, a in _valid_params(9)
+        if verify_monomial_basis(n, a, size_cap=9)["basis_check"] != "PASS"
     ]
     elapsed = perf_counter() - t0
     ok = not failures
     _report(
         capsys, 6, ok,
-        f"candidate monomials form a basis for all (n, a) with n <= 8 in {elapsed:.2f}s"
+        f"candidate monomials form a basis for all (n, a) with n <= 9 in {elapsed:.2f}s"
         + (f"; failures: {failures}" if failures else ""),
     )
 

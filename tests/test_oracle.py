@@ -21,9 +21,11 @@ from involution_harmonics.errors import (
 from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
 from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import (
-    _complete,
+    _gf2_rank,
+    _kostka_rows,
     _ranks,
     _reduce_column,
+    _type_counts,
     _young_decomposition,
     graded_hilbert,
     matchings_of_size,
@@ -32,7 +34,7 @@ from involution_harmonics.oracle import (
     verify_monomial_basis,
 )
 from involution_harmonics.partitions import partitions_of
-from involution_harmonics.schur import qp_normal
+from involution_harmonics.schur import QP_ONE, pieri_mult, qp_normal
 from involution_harmonics.tableaux import candidate_basis
 
 
@@ -130,12 +132,57 @@ def test_invariant_ranks_saturate_at_the_orbit_count():
             assert invariant_ranks(n, a, mu)[-1] == len(matchings_of_size(mu, top))
 
 
-def kostka_table(n):
-    return {mu: _complete(mu) for mu in partitions_of(n)}
+def test_type_counts_match_the_listed_types():
+    for n in range(10):
+        for d in range(n // 2 + 1):
+            counts = _type_counts(partitions_of(n), d)
+            assert counts == {mu: len(matchings_of_size(mu, d)) for mu in partitions_of(n)}
+            if n:
+                assert counts[(1,) * n] == count_involutions(n, n - 2 * d)
+
+
+def test_oracle_raises_when_optimized_and_a_type_count_is_off():
+    # one more type of S_(1^4) than there are is one copy of the sign
+    # representation, which is then listed and found missing
+    code = (
+        "import involution_harmonics.oracle as o\n"
+        "from involution_harmonics.errors import InvariantError\n"
+        "real = o._type_counts\n"
+        "def miscount(mus, d):\n"
+        "    counts = real(mus, d)\n"
+        "    counts[(1, 1, 1, 1)] += 1\n"
+        "    return counts\n"
+        "o._type_counts = miscount\n"
+        "for f in (o.graded_hilbert, o.oracle_graded_frobenius, o.verify_monomial_basis):\n"
+        "    try:\n"
+        "        f(4, 0)\n"
+        "    except InvariantError as e:\n"
+        "        print(f.__name__, 'raised:', e)\n"
+    )
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines() == [
+        f"{name} raised: 3 top-degree types of n=4, a=0, mu=(1, 1, 1, 1) listed, 4 counted"
+        for name in ("graded_hilbert", "oracle_graded_frobenius", "verify_monomial_basis")
+    ]
+
+
+def reference_complete(mu):
+    """h_mu in the Schur basis by a chain of Pieri products; reference Kostka rows."""
+    h = {(): QP_ONE}
+    for part in mu:
+        h = pieri_mult(h, part)
+    return h
+
+
+def test_kostka_rows_match_the_pieri_chain():
+    for n in range(1, 10):
+        for mu, row in _kostka_rows(n).items():
+            assert row == {lam: c[0] for lam, c in reference_complete(mu).items()}
 
 
 def test_young_decomposition_rejects_a_negative_multiplicity():
-    kostka = kostka_table(2)
+    kostka = _kostka_rows(2)
     # h_(1,1) = s_(2) + s_(1,1), so rank 1 of S_(1,1) with rank 2 of S_(2) is impossible
     with pytest.raises(InvariantError):
         _young_decomposition({(2,): (2,), (1, 1): (1,)}, kostka)
@@ -184,6 +231,28 @@ def test_reduce_column_keeps_one_pivot_per_rank(data):
     assert len(basis) == fraction_rank(columns)
 
 
+@given(st.data())
+def test_full_gf2_rank_is_full_rational_rank(data):
+    height = data.draw(st.integers(1, 8))
+    column = st.lists(st.integers(0, 1), min_size=height, max_size=height)
+    columns = data.draw(st.lists(column, max_size=height))
+    masks = [sum(bit << i for i, bit in enumerate(col)) for col in columns]
+    rank = _gf2_rank(masks)
+    # a rank mod 2 is a lower bound on the rational rank, reached when full
+    assert rank <= fraction_rank(columns)
+    if rank == len(columns):
+        assert fraction_rank(columns) == len(columns)
+
+
+def test_short_gf2_rank_gives_the_same_report(monkeypatch):
+    # the exact elimination then decides, and finds no dependent candidate
+    reports = {(n, a): verify_monomial_basis(n, a, size_cap=7) for n, a in valid_params(7)}
+    monkeypatch.setattr(oracle, "_gf2_rank", lambda columns: len(columns) - 1)
+    for (n, a), report in reports.items():
+        assert report["basis_check"] == "PASS"
+        assert verify_monomial_basis(n, a, size_cap=7) == report
+
+
 def test_oracle_raises_when_optimized_and_the_elimination_breaks():
     # asserts vanish under -O; the saturation check must not, on any entry point
     code = (
@@ -210,7 +279,7 @@ def reference_oracle(n, a):
     ranks = {mu: invariant_ranks(n, a, mu) for mu in partitions_of(n)}
     identity = ranks[(1,) * n]
     hilbert = qp_normal(r - (identity[d - 1] if d else 0) for d, r in enumerate(identity))
-    return _young_decomposition(ranks, kostka_table(n)), hilbert
+    return _young_decomposition(ranks, _kostka_rows(n)), hilbert
 
 
 def test_oracle_equals_the_all_subgroup_reference():
@@ -232,13 +301,12 @@ def test_skipped_subgroups_have_multiplicity_zero():
             lam: list(accumulate(coeff + (0,) * (top + 1 - len(coeff))))
             for lam, coeff in frobenius.items()
         }
-        for mu in partitions_of(n):
+        for mu, h_mu in _kostka_rows(n).items():
             if mu in frobenius:
                 continue
             skipped += 1
-            kostka = _complete(mu)
             want = tuple(
-                sum(kostka.get(lam, (0,))[0] * m[d] for lam, m in cumulative.items())
+                sum(h_mu.get(lam, 0) * m[d] for lam, m in cumulative.items())
                 for d in range(top + 1)
             )
             assert invariant_ranks(n, a, mu) == want

@@ -182,6 +182,11 @@ def test_stripe_from_columns_rejects():
         stripe_from_columns((2,), {True, 2})
     with pytest.raises(DomainViolationError, match="do not all index columns"):
         stripe_from_columns((2,), {True})
+    # columns of types that do not compare still get the typed error
+    with pytest.raises(DomainViolationError, match=r"columns \[1, 'a'\] do not all index"):
+        stripe_from_columns((2,), {"a", 1})
+    with pytest.raises(DomainViolationError, match=r"columns \[1, None\] do not all index"):
+        stripe_from_columns((2,), {None, 1})
 
 
 # the only stripe of outer size <= 4 whose path is N S N
