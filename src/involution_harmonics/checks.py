@@ -28,9 +28,9 @@ from .involutions import count_involutions
 from .partitions import Partition, Stripe, partitions_of, stripe_inners
 from .schur import qp_at_one, schur_at_one
 from .stripes import (
-    _path_width,
+    _row_heights,
+    _row_width,
     _stripes_over_even_inners,
-    in_nonnegative_family,
     matched_pairs,
     stripe_from_columns,
     stripe_steps,
@@ -58,7 +58,7 @@ def iter_stripes_up_to(max_size: int) -> Iterator[Stripe]:
 
 
 def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
-    """Three width computations agree; paths reconstruct; matching is complete."""
+    """Three width computations agree (rows, matching, prefix sums); paths reconstruct."""
     if max_size < 0:
         raise InvalidParametersError(f"max_size must be at least 0, got {max_size}")
     failures = []
@@ -68,7 +68,7 @@ def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
         steps = stripe_steps(s)
         pairs = matched_pairs(steps)
         boxes = sum(s.outer) - sum(s.inner)
-        w = _path_width(steps)
+        w = _row_width(s)
         if not (w == width_by_matching(steps, pairs) == width_by_prefix_sums(steps)):
             failures.append(f"width mismatch on {s}")
         columns = len(steps)
@@ -177,7 +177,7 @@ def check_bijections(max_n: int = 8) -> tuple[bool, list[str]]:
                 family = families.get(lam, [])
                 nonneg, below = [], []
                 for s in family:
-                    (nonneg if in_nonnegative_family(s, d) else below).append(s)
+                    (nonneg if _row_heights(s)[1] >= 0 else below).append(s)
                 if d > 0:
                     problems += _check_domino_maps(
                         n, a, d, lam, below, previous.get(lam, ())

@@ -29,11 +29,10 @@ from .involutions import involutions
 from .oracle import graded_hilbert, oracle_graded_frobenius, verify_monomial_basis
 from .schur import SchurPoly, schur_terms
 from .stripes import (
-    steps_from_string,
+    _row_width,
     steps_heights,
     steps_to_string,
     stripe_steps,
-    width,
     width_stripes,
 )
 from .tableaux import involution_tableau_pair
@@ -137,15 +136,16 @@ def _cmd_enumerate_stripes(args) -> int:
     n, a = args.n, args.a
     if args.d is not None:
         check_degree_params(n, a, args.d)
-    rows = []
+    rows, paths = [], []
     for s, degree in width_stripes(n, a):
         if args.d is not None and degree != args.d:
             continue
+        paths.append(stripe_steps(s))
         rows.append(
             {
                 "outer": list(s.outer),
                 "inner": list(s.inner),
-                "path": steps_to_string(stripe_steps(s)),
+                "path": steps_to_string(paths[-1]),
                 "width": n + a - 2 * degree,
                 "degree": degree,
             }
@@ -153,13 +153,13 @@ def _cmd_enumerate_stripes(args) -> int:
     if args.format == "json":
         print(_dumps({"n": n, "a": a, "stripes": rows}))
         return 0
-    for row in rows:
+    for row, steps in zip(rows, paths):
         print(
             f"{row['outer']} / {row['inner']}  path={row['path']}  "
             f"width={row['width']}  degree={row['degree']}"
         )
         if args.ascii:
-            for line in _ascii_path(steps_from_string(row["path"])):
+            for line in _ascii_path(steps):
                 print("  " + line)
     return 0
 
@@ -170,7 +170,7 @@ def _cmd_enumerate_involutions(args) -> int:
     histogram: dict[int, int] = {}
     for w in involutions(args.n, args.a):
         _, s = involution_tableau_pair(w)
-        image_width = width(s)
+        image_width = _row_width(s)
         histogram[image_width] = histogram.get(image_width, 0) + 1
         rows.append(
             {

@@ -16,19 +16,16 @@ The ungraded total and the Hilbert series specialize these.
 from __future__ import annotations
 
 from .errors import InvariantError, check_locus_params
-from .partitions import syt_count
+from .partitions import Partition, syt_count
 from .schur import (
     QP_ONE,
     QPoly,
     SchurPoly,
-    _accumulate,
+    _add_into,
+    _frozen,
     is_nonnegative,
     pieri_mult,
     plethysm_h_h2,
-    qp_add,
-    qp_shift,
-    schur_sub,
-    truncate_first_part,
 )
 from .stripes import positive_stripes, width_stripes
 
@@ -38,18 +35,22 @@ def graded_frobenius_signed(n: int, a: int) -> SchurPoly:
 
     The degree-d product h_{n-2d} h_d[h_2] is built only up to the degree's
     first-part bound n - 2d + a, and subtracted again at degree d + 1, whose
-    bound is 2 lower, so truncating the difference stays exact.
+    bound is 2 lower, so truncating the difference stays exact.  Both go
+    straight into one accumulator, the earlier one negated and truncated.
     """
     check_locus_params(n, a)
-    total: SchurPoly = {}
+    acc: dict[Partition, list[int]] = {}
     previous: SchurPoly = {}
     for d in range((n - a) // 2 + 1):
         bound = n - 2 * d + a
         current = pieri_mult(plethysm_h_h2(d), n - 2 * d, bound)
-        term = truncate_first_part(schur_sub(current, previous), bound)
-        for lam, coeff in term.items():
-            _accumulate(total, lam, qp_shift(coeff, d))
+        for lam, coeff in current.items():
+            _add_into(acc, lam, coeff, d)
+        for lam, coeff in previous.items():
+            if not lam or lam[0] <= bound:
+                _add_into(acc, lam, [-c for c in coeff], d)
         previous = current
+    total = _frozen(acc)
     if not is_nonnegative(total):
         raise InvariantError("signed route produced a negative multiplicity")
     return total
@@ -57,10 +58,10 @@ def graded_frobenius_signed(n: int, a: int) -> SchurPoly:
 
 def _by_outer(stripes) -> SchurPoly:
     """Sum of q^d s_outer over (stripe, d) pairs."""
-    total: SchurPoly = {}
+    acc: dict[Partition, list[int]] = {}
     for s, d in stripes:
-        _accumulate(total, s.outer, qp_shift(QP_ONE, d))
-    return total
+        _add_into(acc, s.outer, QP_ONE, d)
+    return _frozen(acc)
 
 
 def graded_frobenius_positive(n: int, a: int) -> SchurPoly:
@@ -79,7 +80,8 @@ def frobenius_total(n: int, a: int) -> SchurPoly:
 
 def hilbert_series(f: SchurPoly) -> QPoly:
     """Dimension series: each Schur term contributes its standard-filling count."""
-    total: QPoly = ()
+    acc: dict[Partition, list[int]] = {}
     for lam, coeff in f.items():
-        total = qp_add(total, tuple(c * syt_count(lam) for c in coeff))
-    return total
+        k = syt_count(lam)
+        _add_into(acc, (), [k * c for c in coeff])
+    return _frozen(acc).get((), ())

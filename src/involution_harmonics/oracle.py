@@ -62,7 +62,7 @@ from .errors import (
     check_locus_params,
 )
 from .partitions import Partition, horizontal_strips_over, partitions_of
-from .schur import QPoly, SchurPoly, qp_add, qp_normal, schur_terms
+from .schur import QPoly, SchurPoly, _add_into, _frozen, qp_normal, schur_terms
 from .tableaux import candidate_basis
 
 DEFAULT_SIZE_CAP = 6
@@ -345,10 +345,10 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
         ranks[mu] = _ranks(n, a, mu, types)
     frobenius = _young_decomposition(ranks, kostka)
     dims = kostka[(1,) * n]
-    hilbert: QPoly = ()
+    acc: dict[Partition, list[int]] = {}
     for lam, coeff in frobenius.items():
-        hilbert = qp_add(hilbert, tuple(dims[lam] * c for c in coeff))
-    return frobenius, hilbert
+        _add_into(acc, (), [dims[lam] * c for c in coeff])
+    return frobenius, _frozen(acc).get((), ())
 
 
 def graded_hilbert(n: int, a: int, *, size_cap: int | None = None) -> QPoly:

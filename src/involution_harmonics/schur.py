@@ -3,6 +3,9 @@
 A QPoly is a tuple of ints, lowest degree first, no trailing zeros; the zero
 polynomial is the empty tuple.  A SchurPoly is a dict mapping partitions to
 nonzero QPoly values.  Everything is exact integer arithmetic.
+
+Every sum is built one way: `_add_into` adds into a dict of mutable
+coefficient lists in place, and `_frozen` turns it into a SchurPoly once.
 """
 
 from __future__ import annotations
@@ -24,38 +27,31 @@ def qp_normal(coeffs) -> QPoly:
     return tuple(out)
 
 
-def qp_add(f: QPoly, g: QPoly) -> QPoly:
-    n = max(len(f), len(g))
-    return qp_normal(
-        (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)
-    )
-
-
-def qp_neg(f: QPoly) -> QPoly:
-    return tuple(-c for c in f)
-
-
-def qp_shift(f: QPoly, d: int) -> QPoly:
-    """Multiply by q**d."""
-    return (0,) * d + f if f else QP_ZERO
-
-
 def qp_at_one(f: QPoly) -> int:
     return sum(f)
 
 
-def _accumulate(acc: SchurPoly, lam: Partition, coeff: QPoly) -> None:
-    total = qp_add(acc.get(lam, QP_ZERO), coeff)
-    if total:
-        acc[lam] = total
-    else:
-        acc.pop(lam, None)
+def _add_into(acc: dict, lam: Partition, coeff, shift: int = 0) -> None:
+    """Add q**shift times the sequence coeff to lam's entry, extending its list."""
+    row = acc.get(lam)
+    if row is None:
+        acc[lam] = [0] * shift + list(coeff)
+        return
+    short = shift + len(coeff) - len(row)
+    if short > 0:
+        row += [0] * short
+    for d, c in enumerate(coeff, shift):
+        row[d] += c
 
 
-def schur_sub(f: SchurPoly, g: SchurPoly) -> SchurPoly:
-    out = dict(f)
-    for lam, coeff in g.items():
-        _accumulate(out, lam, qp_neg(coeff))
+def _frozen(acc: dict) -> SchurPoly:
+    """The SchurPoly of acc, dropping trailing zeros (in place) and cancelled keys."""
+    out: SchurPoly = {}
+    for lam, row in acc.items():
+        while row and not row[-1]:
+            row.pop()
+        if row:
+            out[lam] = tuple(row)
     return out
 
 
@@ -77,11 +73,11 @@ def pieri_mult(f: SchurPoly, a: int, max_first_part: int | None = None) -> Schur
         raise InvalidParametersError(f"degree must be nonnegative, got {a}")
     if max_first_part is not None and max_first_part < 0:
         raise InvalidParametersError(f"bound must be nonnegative, got {max_first_part}")
-    out: SchurPoly = {}
+    acc: dict[Partition, list[int]] = {}
     for mu, coeff in f.items():
         for lam in horizontal_strips_over(mu, a, max_first_part):
-            _accumulate(out, lam, coeff)
-    return out
+            _add_into(acc, lam, coeff)
+    return _frozen(acc)
 
 
 def plethysm_h_h2(d: int) -> SchurPoly:

@@ -4,7 +4,7 @@ Every horizontal stripe outer/inner determines a lattice path read off the
 columns of the outer shape: column j contributes an ascent when it meets the
 stripe and a descent otherwise, and the path continues with descents forever
 past the last column.  Only the first outer[0] steps are stored; the descent
-tail is implicit.
+tail is implicit.  `_row_heights` reads the end and lowest heights off the rows.
 """
 
 from __future__ import annotations
@@ -57,13 +57,6 @@ def steps_heights(steps: Steps) -> tuple[int, ...]:
 
 def steps_to_string(steps: Steps) -> str:
     return "".join(_STEP_CHARS[s] for s in steps)
-
-
-def steps_from_string(text: str) -> Steps:
-    try:
-        return tuple({"N": 1, "S": -1}[c] for c in text)
-    except KeyError:
-        raise ValueError(f"path strings use the alphabet N/S, got {text!r}") from None
 
 
 def stripe_from_columns(outer: Partition, columns) -> Stripe:
@@ -121,25 +114,41 @@ def matched_pairs(steps: Steps) -> list[tuple[int, int]]:
     return sorted(pairs)
 
 
-def _path_width(steps: Steps) -> int:
-    """The closed form of width() on a stored prefix: len(steps) + y(end) - min(y)."""
-    height = low = 0
-    for step in steps:
-        height += step
+def _row_heights(s: Stripe) -> tuple[int, int]:
+    """(y(end), min y) of a horizontal stripe's stored prefix, one row at a time.
+
+    Bottom-up, row i gives inner[i] - outer[i+1] descents (0 past the last
+    row), then outer[i] - inner[i] ascents; only descents reach a new low.
+    """
+    outer, inner = s
+    height = low = below = 0
+    for i in range(len(outer) - 1, -1, -1):
+        left = inner[i] if i < len(inner) else 0
+        height -= left - below
         if height < low:
             low = height
-    return len(steps) + height - low
+        height += outer[i] - left
+        below = outer[i]
+    return height, low
+
+
+def _row_width(s: Stripe) -> int:
+    """width() for a stripe known to be horizontal: outer[0] + y(end) - min y."""
+    outer = s[0]
+    end, low = _row_heights(s)
+    return (outer[0] if outer else 0) + end - low
 
 
 def width(s: Stripe) -> int:
-    """Horizontal extent of the stripe's matching.
+    """Horizontal extent of a horizontal stripe's matching; DomainViolationError if not.
 
     Equals the largest descent position used by matched_pairs, but never less
-    than the column count of the outer shape.  Computed in closed form by
-    _path_width on the stripe's steps: the number of ascents still open at the
-    end of the prefix is y(end) - min(y), and they close one tail step apiece.
+    than outer[0]: outer[0] + y(end) - min(y), as the y(end) - min(y) ascents
+    still open at the end of the prefix close one tail step apiece.
     """
-    return _path_width(stripe_steps(s))
+    if not is_horizontal_stripe(*s):
+        raise DomainViolationError(f"{s} is not a horizontal stripe")
+    return _row_width(s)
 
 
 def width_by_matching(steps: Steps, pairs: list[tuple[int, int]]) -> int:
@@ -175,20 +184,13 @@ def in_stripe_family(s: Stripe, d: int) -> bool:
 
 def in_nonnegative_family(s: Stripe, d: int) -> bool:
     """True iff s is in the degree-d family and its stored prefix never dips below 0."""
-    if not in_stripe_family(s, d):
-        return False
-    return min(steps_heights(stripe_steps(s))) >= 0
+    return in_stripe_family(s, d) and _row_heights(s)[1] >= 0
 
 
 def in_width_family(s: Stripe, n: int, a: int, d: int) -> bool:
     """True iff s has even inner of size n - a and width exactly n - 2d + a."""
     check_degree_params(n, a, d)
-    return (
-        is_horizontal_stripe(s.outer, s.inner)
-        and is_even_partition(s.inner)
-        and sum(s.inner) == n - a
-        and width(s) == n - 2 * d + a
-    )
+    return in_stripe_family(s, (n - a) // 2) and _row_width(s) == n - 2 * d + a
 
 
 def _stripes_over_even_inners(
@@ -220,7 +222,7 @@ def positive_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
     check_locus_params(n, a)
     for d in range((n - a) // 2 + 1):
         for s in _stripes_over_even_inners(2 * d, n - 2 * d, n - 2 * d + a):
-            if in_nonnegative_family(s, d):
+            if _row_heights(s)[1] >= 0:
                 yield s, d
 
 
@@ -232,7 +234,7 @@ def width_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
     """
     check_locus_params(n, a)
     for s in _stripes_over_even_inners(n - a, a):
-        d, odd = divmod(n + a - width(s), 2)
+        d, odd = divmod(n + a - _row_width(s), 2)
         if odd or not 0 <= d <= (n - a) // 2:
             raise InvariantError(f"width of {s} gives no degree for n={n}, a={a}")
         yield s, d

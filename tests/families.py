@@ -6,6 +6,10 @@ Pieri product built once, and sweeps the bijections over the same inner-first
 families.  These rebuild the same sets one outer shape and degree at a time,
 straight from the membership predicates, and the signed formula one degree
 at a time from both of its Pieri products.
+
+The library adds Schur coefficients into mutable lists and freezes them
+once; the q-polynomial helpers below build a new tuple per addition
+instead, and the step-path width reads the stored steps, not the rows.
 """
 
 from itertools import accumulate
@@ -13,12 +17,55 @@ from itertools import accumulate
 from involution_harmonics.errors import check_degree_params, check_locus_params
 from involution_harmonics.partitions import Stripe, partitions_of
 from involution_harmonics.schur import (
+    QP_ZERO,
     pieri_mult,
     plethysm_h_h2,
-    schur_sub,
+    qp_normal,
     truncate_first_part,
 )
 from involution_harmonics.stripes import in_nonnegative_family, width
+
+
+def qp_add(f, g):
+    n = max(len(f), len(g))
+    return qp_normal(
+        (f[i] if i < len(f) else 0) + (g[i] if i < len(g) else 0) for i in range(n)
+    )
+
+
+def qp_neg(f):
+    return tuple(-c for c in f)
+
+
+def qp_shift(f, d):
+    """Multiply by q**d."""
+    return (0,) * d + f if f else QP_ZERO
+
+
+def accumulate_term(acc, lam, coeff):
+    """Add coeff to acc[lam] as a new tuple, dropping the key when it cancels."""
+    total = qp_add(acc.get(lam, QP_ZERO), coeff)
+    if total:
+        acc[lam] = total
+    else:
+        acc.pop(lam, None)
+
+
+def schur_sub(f, g):
+    out = dict(f)
+    for lam, coeff in g.items():
+        accumulate_term(out, lam, qp_neg(coeff))
+    return out
+
+
+def _path_width(steps):
+    """The closed form of width() on a stored prefix: len(steps) + y(end) - min(y)."""
+    height = low = 0
+    for step in steps:
+        height += step
+        if height < low:
+            low = height
+    return len(steps) + height - low
 
 
 def even_inner_stripes(outer, inner_size):

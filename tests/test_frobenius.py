@@ -11,9 +11,9 @@ from involution_harmonics.frobenius import (
     hilbert_series,
 )
 from involution_harmonics.involutions import count_involutions
-from involution_harmonics.schur import _accumulate, qp_at_one, qp_shift, schur_at_one
+from involution_harmonics.schur import qp_at_one, schur_at_one
 
-from families import signed_term
+from families import accumulate_term, qp_shift, signed_term
 
 ROUTES = [graded_frobenius_signed, graded_frobenius_positive, graded_frobenius_width]
 
@@ -43,7 +43,7 @@ def test_signed_route_sums_the_truncated_differences():
         expected = {}
         for d in range((n - a) // 2 + 1):
             for lam, coeff in signed_term(n, a, d).items():
-                _accumulate(expected, lam, qp_shift(coeff, d))
+                accumulate_term(expected, lam, qp_shift(coeff, d))
         assert graded_frobenius_signed(n, a) == expected
 
 

@@ -4,25 +4,31 @@ import pytest
 from hypothesis import given, strategies as st
 
 from involution_harmonics.errors import InvalidParametersError
+from involution_harmonics.frobenius import (
+    frobenius_total,
+    graded_frobenius_positive,
+    graded_frobenius_signed,
+    graded_frobenius_width,
+)
 from involution_harmonics.partitions import partitions_of, syt_count
 from involution_harmonics.schur import (
     QP_ONE,
     QP_ZERO,
     QPoly,
+    _add_into,
+    _frozen,
     h_complete,
     is_nonnegative,
     pieri_mult,
     plethysm_h_h2,
-    qp_add,
     qp_at_one,
-    qp_neg,
     qp_normal,
-    qp_shift,
     schur_at_one,
-    schur_sub,
     schur_terms,
     truncate_first_part,
 )
+
+from families import accumulate_term, qp_add, qp_neg, qp_shift, schur_sub
 
 
 def qp(*coeffs: int) -> QPoly:
@@ -141,6 +147,71 @@ def test_schur_add_sub_shift():
     assert schur_at_one({(2,): (1, -1), (1, 1): (2,)}) == {(1, 1): 2}
     assert is_nonnegative({(2,): (0, 3)})
     assert not is_nonnegative({(2,): (1, -1)})
+
+
+def assert_valid_schur_poly(f):
+    # a missed trailing zero or a cancelled key left behind fails here
+    for lam, coeff in f.items():
+        assert isinstance(lam, tuple) and isinstance(coeff, tuple)
+        assert coeff and coeff[-1] != 0
+        assert all(type(c) is int for c in coeff)
+
+
+def test_routes_and_products_return_valid_schur_polys():
+    for n in range(1, 15):
+        for a in range(n % 2, n + 1, 2):
+            for route in (
+                graded_frobenius_signed,
+                graded_frobenius_positive,
+                graded_frobenius_width,
+                frobenius_total,
+            ):
+                assert_valid_schur_poly(route(n, a))
+        for d in range(n // 2 + 1):
+            assert_valid_schur_poly(pieri_mult(plethysm_h_h2(d), n - 2 * d))
+
+
+# raw coefficient lists, trailing zeros allowed, added at a shift
+addition_st = st.tuples(
+    st.sampled_from(partitions_of(3) + partitions_of(4)),
+    st.lists(st.integers(-3, 3), max_size=4),
+    st.integers(0, 3),
+)
+
+
+def accumulated(additions):
+    acc = {}
+    for lam, coeff, shift in additions:
+        _add_into(acc, lam, coeff, shift)
+    return acc
+
+
+@given(st.lists(addition_st, max_size=12), st.data())
+def test_accumulator_matches_the_tuple_reference_in_any_order(additions, data):
+    expected = {}
+    for lam, coeff, shift in additions:
+        accumulate_term(expected, lam, qp_shift(qp_normal(coeff), shift))
+    shuffled = data.draw(st.permutations(additions))
+    frozen = _frozen(accumulated(additions))
+    assert frozen == expected
+    assert_valid_schur_poly(frozen)
+    assert _frozen(accumulated(shuffled)) == expected
+
+
+@given(st.lists(addition_st, max_size=8), addition_st)
+def test_adding_zero_or_a_cancelling_pair(additions, extra):
+    lam, coeff, shift = extra
+    before = _frozen(accumulated(additions))
+    acc = accumulated(additions)
+    _add_into(acc, lam, [0] * len(coeff), shift)
+    assert _frozen(acc) == before
+    # c plus -c changes no entry, and at a fresh key leaves no key behind
+    fresh = (9,)
+    acc = accumulated(additions)
+    for key in (lam, fresh):
+        _add_into(acc, key, coeff, shift)
+        _add_into(acc, key, [-c for c in coeff], shift)
+    assert _frozen(acc) == before
 
 
 def test_schur_terms_order():

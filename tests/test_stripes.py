@@ -16,12 +16,13 @@ from involution_harmonics.partitions import (
     stripe_inners,
 )
 from involution_harmonics.stripes import (
+    _row_heights,
+    _row_width,
     in_nonnegative_family,
     in_stripe_family,
     in_width_family,
     matched_pairs,
     positive_stripes,
-    steps_from_string,
     steps_heights,
     steps_to_string,
     stripe_from_columns,
@@ -33,6 +34,7 @@ from involution_harmonics.stripes import (
 )
 
 from families import (
+    _path_width,
     nonnegative_family,
     outer_first_positive_stripes,
     outer_first_width_stripes,
@@ -73,6 +75,27 @@ def test_small_width():
     assert width(s) == 6
     assert width(Stripe((2, 2), (2,))) == 4
     assert width(Stripe((), ())) == 0
+
+
+@pytest.mark.parametrize(
+    "s",
+    [
+        Stripe((3, 3), (1,)),  # two boxes in one column
+        Stripe((2,), (3,)),  # inner not inside outer
+        Stripe((1, 2), ()),  # outer not a partition
+    ],
+)
+def test_width_rejects_a_shape_that_is_not_a_horizontal_stripe(s):
+    with pytest.raises(DomainViolationError, match="not a horizontal stripe"):
+        width(s)
+
+
+def steps_from_string(text):
+    """Inverse of steps_to_string; the CLI keeps the steps it renders instead."""
+    try:
+        return tuple({"N": 1, "S": -1}[c] for c in text)
+    except KeyError:
+        raise ValueError(f"path strings use the alphabet N/S, got {text!r}") from None
 
 
 def test_steps_string_round_trip():
@@ -126,6 +149,16 @@ def test_width_bounds():
         assert columns <= w <= columns + 2 * (sum(s.outer) - sum(s.inner))
         pairs = matched_pairs(steps)
         assert w == width_by_matching(steps, pairs) == width_by_prefix_sums(steps)
+
+
+def test_row_statistics_match_the_steps():
+    # the closed forms read off the rows against the same forms on the steps
+    for s in all_stripes(14):
+        steps = stripe_steps(s)
+        heights = steps_heights(steps)
+        assert _row_heights(s) == (heights[-1], min(heights))
+        assert _row_width(s) == _path_width(steps)
+        assert (_row_heights(s)[1] >= 0) == (min(heights) >= 0)
 
 
 def test_stripe_from_columns_reconstructs():
@@ -199,13 +232,14 @@ def assert_width_sweep_fails_once(line, capsys):
     assert capsys.readouterr().out.splitlines() == [line, "FAIL"]
 
 
-@pytest.mark.parametrize("name", ["_path_width", "width_by_matching", "width_by_prefix_sums"])
+@pytest.mark.parametrize("name", ["_row_width", "width_by_matching", "width_by_prefix_sums"])
 def test_check_width_fails_when_one_width_is_off(monkeypatch, capsys, name):
     real = getattr(checks, name)
-    broken_steps = stripe_steps(BROKEN)
+    # the row form reads the stripe, the other two its steps
+    target = BROKEN if name == "_row_width" else stripe_steps(BROKEN)
 
-    def off_by_one(steps, *rest):
-        return real(steps, *rest) + (steps == broken_steps)
+    def off_by_one(arg, *rest):
+        return real(arg, *rest) + (arg == target)
 
     monkeypatch.setattr(checks, name, off_by_one)
     assert_width_sweep_fails_once(f"width mismatch on {BROKEN}", capsys)
@@ -297,8 +331,8 @@ def test_width_stripes_raise_when_optimized_and_a_width_gives_no_degree():
         "from involution_harmonics import cli\n"
         "from involution_harmonics.errors import InvariantError\n"
         "from involution_harmonics.frobenius import graded_frobenius_width\n"
-        "true_width = st.width\n"
-        "st.width = lambda s: true_width(s) + 1\n"
+        "true_width = st._row_width\n"
+        "st._row_width = lambda s: true_width(s) + 1\n"
         "calls = {\n"
         "    'route': lambda: graded_frobenius_width(4, 0),\n"
         "    'generator': lambda: list(st.width_stripes(4, 0)),\n"
