@@ -24,6 +24,8 @@ from .errors import (
 )
 from .partitions import Stripe
 from .stripes import (
+    _row_heights,
+    _stripe_from_columns,
     in_nonnegative_family,
     in_stripe_family,
     in_width_family,
@@ -101,8 +103,9 @@ def attach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
     # the two steps leaving the last lowest point are both ascents
     if not (steps[m] == 1 and steps[m + 1] == 1):
         raise InvariantError(f"last lowest point of {s} is not left by two ascents")
-    image = stripe_from_columns(s.outer, _ascent_columns(steps) - {m + 1, m + 2})
-    if not in_stripe_family(image, d) or in_nonnegative_family(image, d):
+    # ascent columns all lie in 1..outer[0], so the rebuild skips their validation
+    image = _stripe_from_columns(s.outer, _ascent_columns(steps) - {m + 1, m + 2})
+    if not in_stripe_family(image, d) or _row_heights(image)[1] >= 0:
         raise InvariantError(
             f"attaching to {s} gave {image}, not a degree-{d} stripe that dips"
         )

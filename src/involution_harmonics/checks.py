@@ -30,9 +30,9 @@ from .schur import qp_at_one, schur_at_one
 from .stripes import (
     _row_heights,
     _row_width,
+    _stripe_from_columns,
     _stripes_over_even_inners,
     matched_pairs,
-    stripe_from_columns,
     stripe_steps,
     width_by_matching,
     width_by_prefix_sums,
@@ -77,7 +77,7 @@ def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
         if len(pairs) != boxes:
             failures.append(f"matching misses ascents on {s}")
         ascents = {j for j, step in enumerate(steps, 1) if step == 1}
-        if stripe_from_columns(s.outer, ascents) != s:
+        if _stripe_from_columns(s.outer, ascents) != s:
             failures.append(f"column reconstruction fails on {s}")
     lines = failures or [f"{count} stripes with outer size <= {max_size}: widths agree"]
     return not failures, lines
@@ -98,7 +98,8 @@ def check_formulas(max_n: int = 8) -> tuple[bool, list[str]]:
             problems.append("routes disagree")
         if schur_at_one(by_width) != {lam: qp_at_one(c) for lam, c in total.items()}:
             problems.append("q=1 does not match the ungraded total")
-        if qp_at_one(hilbert_series(by_width)) != points:
+        hilbert = hilbert_series(by_width)
+        if qp_at_one(hilbert) != points:
             problems.append(f"dimensions do not sum to {points}")
         top = (n - a) // 2
         if any(len(coeff) - 1 > top for coeff in by_width.values()):
@@ -106,7 +107,7 @@ def check_formulas(max_n: int = 8) -> tuple[bool, list[str]]:
         # the top graded piece truncates to first part <= 2a, so it is empty
         # exactly when a = 0 and n > 0, and populated for every a >= 1
         expected_top = top if a >= 1 or top == 0 else top - 1
-        if len(hilbert_series(by_width)) - 1 != expected_top:
+        if len(hilbert) - 1 != expected_top:
             problems.append(f"top populated degree is not {expected_top}")
         if problems:
             ok = False

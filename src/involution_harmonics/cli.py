@@ -35,7 +35,7 @@ from .stripes import (
     stripe_steps,
     width_stripes,
 )
-from .tableaux import involution_tableau_pair
+from .tableaux import _tableau_pair
 
 
 _UNCAPPED = "no size cap: the cost grows exponentially in n"
@@ -169,7 +169,7 @@ def _cmd_enumerate_involutions(args) -> int:
     rows = []
     histogram: dict[int, int] = {}
     for w in involutions(args.n, args.a):
-        _, s = involution_tableau_pair(w)
+        _, s = _tableau_pair(w)
         image_width = _row_width(s)
         histogram[image_width] = histogram.get(image_width, 0) + 1
         rows.append(

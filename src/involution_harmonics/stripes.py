@@ -78,6 +78,14 @@ def stripe_from_columns(outer: Partition, columns) -> Stripe:
             raise DomainViolationError(
                 f"columns {shown!r} do not all index columns of {outer}"
             )
+    return _stripe_from_columns(outer, cols)
+
+
+def _stripe_from_columns(outer: Partition, cols: set[int]) -> Stripe:
+    """stripe_from_columns on a set of integers already known to lie in 1..outer[0].
+
+    Still raises DomainViolationError when the columns leave no partition shape.
+    """
     inner: list[int] = []
     for i, right in enumerate(outer):
         below = outer[i + 1] if i + 1 < len(outer) else 0

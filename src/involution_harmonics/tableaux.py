@@ -229,7 +229,8 @@ def _symmetric_tableau(ones) -> list[list[int]]:
     if p != q:
         raise InvariantError(f"symmetric matrix gave insertion {p}, recording {q}")
     lengths = tuple(map(len, p))
-    if not is_even_partition(conjugate(lengths)):
+    # every column is even exactly when the rows come in equal pairs
+    if lengths[::2] != lengths[1::2]:
         raise InvariantError(f"zero-diagonal matrix gave odd-column shape {lengths}")
     return p
 
@@ -256,7 +257,16 @@ def involution_tableau_pair(w: Involution) -> tuple[Rows, Stripe]:
     Returns the full tableau and the horizontal stripe its shape forms over
     the shape of the pairs-only tableau.
     """
-    w = involution(w.n, w.pairs, w.fixed)
+    rows, s = _tableau_pair(involution(w.n, w.pairs, w.fixed))
+    return tuple(map(tuple, rows)), s
+
+
+def _tableau_pair(w: Involution) -> tuple[list[list[int]], Stripe]:
+    """involution_tableau_pair on an involution in involution()'s normal form.
+
+    The points of involutions() are built in that form and are not rebuilt.
+    Returns the rows as lists; the symmetric and stripe checks still run.
+    """
     rows = _symmetric_tableau([cell for i, j in w.pairs for cell in ((i, j), (j, i))])
     nu = tuple(map(len, rows))
     for v in w.fixed:
@@ -264,7 +274,7 @@ def involution_tableau_pair(w: Involution) -> tuple[Rows, Stripe]:
     lam = tuple(map(len, rows))
     if not is_horizontal_stripe(lam, nu):
         raise InvariantError(f"inserting the fixed points of {w} gave {lam}/{nu}")
-    return tuple(map(tuple, rows)), Stripe(lam, nu)
+    return rows, Stripe(lam, nu)
 
 
 @cache

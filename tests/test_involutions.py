@@ -99,6 +99,14 @@ def test_enumeration_is_complete():
             assert sorted(involution_mapping(w) for w in got) == sorted(want)
 
 
+def test_enumerated_points_are_already_normalized():
+    # callers of involutions() trust its points without calling involution()
+    for n in range(1, 10):
+        for a in range(n % 2, n + 1, 2):
+            for w in involutions(n, a):
+                assert w == involution(n, w.pairs, w.fixed)
+
+
 def test_mapping_is_self_inverse():
     for w in involutions(5, 1):
         p = involution_mapping(w)

@@ -246,13 +246,14 @@ def test_check_width_fails_when_one_width_is_off(monkeypatch, capsys, name):
 
 
 def test_check_width_fails_when_a_reconstruction_is_wrong(monkeypatch, capsys):
-    real = checks.stripe_from_columns
+    # check_width reads its columns off the steps and rebuilds without validation
+    real = checks._stripe_from_columns
 
     def wrong(outer, columns):
         s = real(outer, columns)
         return Stripe(s.outer, s.outer) if s == BROKEN else s
 
-    monkeypatch.setattr(checks, "stripe_from_columns", wrong)
+    monkeypatch.setattr(checks, "_stripe_from_columns", wrong)
     assert_width_sweep_fails_once(f"column reconstruction fails on {BROKEN}", capsys)
 
 

@@ -25,6 +25,7 @@ from involution_harmonics.partitions import (
     syt_count,
 )
 from involution_harmonics.tableaux import (
+    _tableau_pair,
     candidate_basis,
     candidate_monomial,
     involution_tableau_pair,
@@ -313,14 +314,30 @@ def test_involution_tableau_pair_matches_composite():
                 for v in w.fixed:
                     q, _ = reference_row_insert(q, v)
                 assert involution_tableau_pair(w) == (q, Stripe(shape(q), shape(p)))
+                # the CLI skips involution() on the points involutions() built
+                assert _tableau_pair(w) == (list(map(list, q)), Stripe(shape(q), shape(p)))
 
 
-def run_optimized_with_broken_rsk(call):
-    """Run `call` under python -O with insertion and recording rows disagreeing."""
+def test_row_pairs_test_matches_even_columns():
+    # _symmetric_tableau reads even columns off rows that come in equal pairs
+    for m in range(17):
+        for p in partitions_of(m):
+            assert (p[::2] == p[1::2]) == is_even_partition(conjugate(p))
+
+
+BROKEN_RSK = {
+    "unequal": "([[1], [2]], [[1, 2]])",
+    "odd_columns": "([[1, 2]], [[1, 2]])",
+}
+
+
+def run_optimized_with_broken_rsk(call, rows=BROKEN_RSK["unequal"]):
+    """Run `call` under python -O with the RSK rows replaced by `rows`."""
     code = (
         "import involution_harmonics.tableaux as t\n"
+        "from involution_harmonics.cli import main\n"
         "from involution_harmonics.involutions import involution\n"
-        "t._rsk_rows = lambda biletters: ([[1], [2]], [[1, 2]])\n"
+        f"t._rsk_rows = lambda biletters: {rows}\n"
         f"print({call})\n"
     )
     return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
@@ -335,6 +352,15 @@ def test_involution_tableau_pair_raises_when_optimized_and_rsk_breaks():
 
 def test_rsk_symmetric_raises_when_optimized_and_rsk_breaks():
     out = run_optimized_with_broken_rsk("t.rsk_symmetric({(1, 2), (2, 1)})")
+    assert out.returncode != 0
+    assert "InvariantError" in out.stderr
+
+
+@pytest.mark.parametrize("rows", BROKEN_RSK.values(), ids=BROKEN_RSK.keys())
+def test_enumerate_involutions_raises_when_optimized_and_rsk_breaks(rows):
+    # the CLI's trusted path keeps both symmetric checks
+    call = "main(['enumerate', 'involutions', '--n', '2', '--a', '0'])"
+    out = run_optimized_with_broken_rsk(call, rows)
     assert out.returncode != 0
     assert "InvariantError" in out.stderr
 
