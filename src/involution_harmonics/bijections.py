@@ -11,7 +11,8 @@ Two pairs of mutually inverse maps, both acting through the stripe's path:
 
 All maps validate their domain and check that the constructed image lands
 where it must, raising InvariantError otherwise (also under python -O), so a
-misreading fails loudly instead of corrupting a sweep.
+misreading fails loudly instead of corrupting a sweep.  Every image is rebuilt
+from columns read off the stripe's own path, all in 1..outer[0], unvalidated.
 """
 
 from __future__ import annotations
@@ -22,16 +23,15 @@ from .errors import (
     InvariantError,
     check_degree_params,
 )
-from .partitions import Stripe
+from .partitions import Stripe, is_horizontal_stripe
 from .stripes import (
+    Steps,
     _row_heights,
     _stripe_from_columns,
     in_nonnegative_family,
     in_stripe_family,
     in_width_family,
     matched_pairs,
-    steps_heights,
-    stripe_from_columns,
     stripe_steps,
 )
 
@@ -40,13 +40,17 @@ def _ascent_columns(steps) -> set[int]:
     return {j for j, step in enumerate(steps, start=1) if step == 1}
 
 
-def _check_window(s: Stripe, n: int, a: int, d: int) -> int:
-    window = n - 2 * d + a
-    if s.outer and s.outer[0] > window:
-        raise DomainViolationError(
-            f"outer shape {s.outer} is wider than the window {window}"
-        )
-    return window
+def _lowest_points(s: Stripe) -> tuple[Steps, int, int]:
+    """A horizontal stripe's steps, and the first and last x where its path is lowest."""
+    steps = stripe_steps(s)
+    height = low = first = last = 0
+    for x, step in enumerate(steps, start=1):
+        height += step
+        if height < low:
+            low, first, last = height, x, x
+        elif height == low:
+            last = x
+    return steps, first, last
 
 
 def detach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
@@ -63,16 +67,14 @@ def detach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
         raise InvalidParametersError("degree must be positive, nothing to detach at d=0")
     if not in_stripe_family(s, d):
         raise DomainViolationError(f"{s} is not a degree-{d} stripe")
-    steps = stripe_steps(s)
-    heights = steps_heights(steps)
-    low = min(heights)
-    if low >= 0:
+    steps, m, _ = _lowest_points(s)
+    # the path starts at height 0, so it dips exactly when it is lowest later
+    if m == 0:
         raise DomainViolationError(f"{s} never dips below the axis")
-    m = heights.index(low)
     # the two steps into the first lowest point are both descents
     if not (m >= 2 and steps[m - 2] == -1 and steps[m - 1] == -1):
         raise InvariantError(f"first lowest point of {s} is not reached by two descents")
-    image = stripe_from_columns(s.outer, _ascent_columns(steps) | {m - 1, m})
+    image = _stripe_from_columns(s.outer, _ascent_columns(steps) | {m - 1, m})
     if not in_stripe_family(image, d - 1):
         raise InvariantError(f"detaching from {s} gave {image}, not of degree {d - 1}")
     return image
@@ -92,10 +94,7 @@ def attach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
         raise InvalidParametersError("degree must be positive, nothing to attach at d=0")
     if not in_stripe_family(s, d - 1):
         raise DomainViolationError(f"{s} is not a degree-{d - 1} stripe")
-    steps = stripe_steps(s)
-    heights = steps_heights(steps)
-    low = min(heights)
-    m = len(heights) - 1 - heights[::-1].index(low)
+    steps, _, m = _lowest_points(s)
     if m > len(steps) - 2:
         raise DomainViolationError(
             f"last lowest point of {s} sits at x={m}, no room for a domino"
@@ -103,7 +102,6 @@ def attach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
     # the two steps leaving the last lowest point are both ascents
     if not (steps[m] == 1 and steps[m + 1] == 1):
         raise InvariantError(f"last lowest point of {s} is not left by two ascents")
-    # ascent columns all lie in 1..outer[0], so the rebuild skips their validation
     image = _stripe_from_columns(s.outer, _ascent_columns(steps) - {m + 1, m + 2})
     if not in_stripe_family(image, d) or _row_heights(image)[1] >= 0:
         raise InvariantError(
@@ -122,10 +120,13 @@ def to_width_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     check_degree_params(n, a, d)
     if not in_nonnegative_family(s, d):
         raise DomainViolationError(f"{s} is not a nonnegative degree-{d} stripe")
-    window = _check_window(s, n, a, d)
-    steps = stripe_steps(s)
-    kept = {i for i, j in matched_pairs(steps) if j <= window}
-    image = stripe_from_columns(s.outer, kept)
+    window = n - 2 * d + a
+    if s.outer and s.outer[0] > window:
+        raise DomainViolationError(
+            f"outer shape {s.outer} is wider than the window {window}"
+        )
+    kept = {i for i, j in matched_pairs(stripe_steps(s)) if j <= window}
+    image = _stripe_from_columns(s.outer, kept)
     if len(kept) != a:
         raise InvariantError(f"{s} keeps {len(kept)} ascent columns, expected {a}")
     if not in_width_family(image, n, a, d):
@@ -142,27 +143,29 @@ def to_nonnegative_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     """
     if not in_width_family(s, n, a, d):
         raise DomainViolationError(f"{s} does not have width {n - 2 * d + a}")
-    window = _check_window(s, n, a, d)
+    # a width is never below outer[0], so the window holds the whole prefix
+    window = n - 2 * d + a
     steps = stripe_steps(s)
     descents = {j for _, j in matched_pairs(steps)}
     # tail descents fill every position from the prefix end to the width,
     # so the kept columns all land inside the stored prefix
     if not set(range(len(steps) + 1, window + 1)) <= descents:
         raise InvariantError(f"{s} leaves a kept column past its stored prefix")
-    kept = set(range(1, window + 1)) - descents
-    image = stripe_from_columns(s.outer, kept)
+    image = _stripe_from_columns(s.outer, set(range(1, window + 1)) - descents)
     if not in_nonnegative_family(image, d):
         raise InvariantError(f"{s} gave {image}, not a nonnegative degree-{d} stripe")
     return image
 
 
 def last_lowest_point(s: Stripe) -> int:
-    """x-coordinate of the last minimum of the stored prefix heights."""
-    heights = steps_heights(stripe_steps(s))
-    return len(heights) - 1 - heights[::-1].index(min(heights))
+    """x-coordinate of the last minimum of a horizontal stripe's prefix heights."""
+    if not is_horizontal_stripe(*s):
+        raise DomainViolationError(f"{s} is not a horizontal stripe")
+    return _lowest_points(s)[2]
 
 
 def first_lowest_point(s: Stripe) -> int:
-    """x-coordinate of the first minimum of the stored prefix heights."""
-    heights = steps_heights(stripe_steps(s))
-    return heights.index(min(heights))
+    """x-coordinate of the first minimum of a horizontal stripe's prefix heights."""
+    if not is_horizontal_stripe(*s):
+        raise DomainViolationError(f"{s} is not a horizontal stripe")
+    return _lowest_points(s)[1]

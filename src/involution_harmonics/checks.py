@@ -6,6 +6,7 @@ per parameter point, with failures described in place.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Iterator
 
 from .bijections import (
@@ -25,7 +26,7 @@ from .frobenius import (
     hilbert_series,
 )
 from .involutions import count_involutions
-from .partitions import Partition, Stripe, partitions_of, stripe_inners
+from .partitions import Stripe, partitions_of, stripe_inners
 from .schur import qp_at_one, schur_at_one
 from .stripes import (
     _row_heights,
@@ -117,75 +118,59 @@ def check_formulas(max_n: int = 8) -> tuple[bool, list[str]]:
     return ok, lines
 
 
-def _check_domino_maps(n: int, a: int, d: int, lam, below, previous) -> list[str]:
-    """Detach maps the dipping stripes of degree d onto the whole family at d - 1."""
-    problems = []
-    images = []
-    for s in below:
-        image = detach_domino(s, n, a, d)
-        images.append(image)
-        if attach_domino(image, n, a, d) != s:
-            problems.append(f"attach does not invert detach on {s}")
-        if last_lowest_point(image) != first_lowest_point(s) - 2:
-            problems.append(f"image lowest point misplaced for {s}")
-    if len(set(images)) != len(images) or set(images) != set(previous):
-        problems.append(f"domino maps are not a bijection over {lam} at d={d}")
-    if len(below) != len(previous):
-        problems.append(f"family sizes inconsistent over {lam} at d={d}")
-    return problems
+def _bijection_failures(kind: str, d: int, pairs: list[tuple[Stripe, Stripe]], target):
+    """A line for each outer shape where a map's (stripe, image) pairs miss target.
 
-
-def _check_shadow_maps(n: int, a: int, d: int, lam, nonneg, wide) -> list[str]:
-    """The shadow maps invert each other between the nonnegative and width families."""
-    problems = []
-    images = []
-    for s in nonneg:
-        image = to_width_stripe(s, n, a, d)
-        images.append(image)
-        if to_nonnegative_stripe(image, n, a, d) != s:
-            problems.append(f"width maps do not invert on {s}")
-    if len(set(images)) != len(images) or set(images) != set(wide):
-        problems.append(f"width maps are not a bijection over {lam} at d={d}")
-    return problems
+    Over a shape, an image repeats, an image leaves its stripe's outer shape,
+    or the images and the target differ by a stripe.  Shapes come decreasing.
+    """
+    counts = Counter(image for _, image in pairs)
+    shapes = {s.outer for s, image in pairs if image.outer != s.outer}
+    shapes |= {image.outer for image, k in counts.items() if k > 1}
+    shapes |= {t.outer for t in counts.keys() ^ set(target)}
+    return [
+        f"{kind} maps are not a bijection over {lam} at d={d}"
+        for lam in sorted(shapes, reverse=True)
+    ]
 
 
 def check_bijections(max_n: int = 8) -> tuple[bool, list[str]]:
-    """Both bijection pairs invert and exhaust their targets, all shapes swept.
+    """Both bijection pairs invert and exhaust their targets, degree by degree.
 
-    Each degree's families are built inner-first and grouped by outer shape.
-    An empty family over lam can fail a check only when the family over lam
-    one degree lower, or lam's width family, is not empty, so those shapes
-    are checked along with every shape that has a family.
+    Each degree's family is built once, inner-first.  Each map's images are
+    compared with its target once per degree; a failure names outer shapes.
     """
     ok = True
     lines = []
     for n, a in iter_locus_params(max_n):
-        wide: dict[int, dict[Partition, list[Stripe]]] = {}
+        wide: dict[int, list[Stripe]] = {}
         for s, d in width_stripes(n, a):
-            wide.setdefault(d, {}).setdefault(s.outer, []).append(s)
-        previous: dict[Partition, list[Stripe]] = {}
+            wide.setdefault(d, []).append(s)
+        previous: list[Stripe] = []
         problems = []
         applications = 0
         for d in range((n - a) // 2 + 1):
             cap = n - 2 * d + a
-            families: dict[Partition, list[Stripe]] = {}
-            for s in _stripes_over_even_inners(2 * d, n - 2 * d, cap):
-                families.setdefault(s.outer, []).append(s)
-            widths = wide.get(d, {})
-            shapes = families.keys() | widths.keys()
-            shapes |= {lam for lam in previous if lam[0] <= cap}
-            for lam in sorted(shapes, reverse=True):
-                family = families.get(lam, [])
-                nonneg, below = [], []
-                for s in family:
-                    (nonneg if _row_heights(s)[1] >= 0 else below).append(s)
-                if d > 0:
-                    problems += _check_domino_maps(
-                        n, a, d, lam, below, previous.get(lam, ())
-                    )
-                problems += _check_shadow_maps(n, a, d, lam, nonneg, widths.get(lam, ()))
-                applications += len(family)
-            previous = families
+            family = _stripes_over_even_inners(2 * d, n - 2 * d, cap)
+            domino, shadow = [], []
+            for s in family:
+                if _row_heights(s)[1] >= 0:
+                    image = to_width_stripe(s, n, a, d)
+                    shadow.append((s, image))
+                    if to_nonnegative_stripe(image, n, a, d) != s:
+                        problems.append(f"width maps do not invert on {s}")
+                    continue
+                image = detach_domino(s, n, a, d)
+                domino.append((s, image))
+                if attach_domino(image, n, a, d) != s:
+                    problems.append(f"attach does not invert detach on {s}")
+                if last_lowest_point(image) != first_lowest_point(s) - 2:
+                    problems.append(f"image lowest point misplaced for {s}")
+            fitting = [t for t in previous if t.outer[0] <= cap]
+            problems += _bijection_failures("domino", d, domino, fitting)
+            problems += _bijection_failures("width", d, shadow, wide.get(d, ()))
+            applications += len(family)
+            previous = family
         if problems:
             ok = False
             lines.extend(f"n={n} a={a}: {p}" for p in problems)

@@ -26,7 +26,12 @@ from .frobenius import (
     hilbert_series,
 )
 from .involutions import involutions
-from .oracle import graded_hilbert, oracle_graded_frobenius, verify_monomial_basis
+from .oracle import (
+    graded_hilbert,
+    oracle_graded_frobenius,
+    oracle_size_cap,
+    verify_monomial_basis,
+)
 from .schur import SchurPoly, schur_terms
 from .stripes import (
     _row_width,
@@ -278,6 +283,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # a bad --cap is rejected whatever the method, not only by the oracle
+        if getattr(args, "cap", None) is not None:
+            oracle_size_cap(args.cap)
         return args.func(args)
     except InvalidParametersError as exc:
         print(f"error: {exc}", file=sys.stderr)

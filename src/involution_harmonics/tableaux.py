@@ -197,7 +197,7 @@ def _symmetric_ones(matrix) -> frozenset[tuple[int, int]]:
             raise InvalidMatrixError("matrix must be square")
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
-                if entry not in (0, 1):
+                if type(entry) is not int or entry not in (0, 1):
                     raise InvalidMatrixError(f"entry {entry!r} is not 0 or 1")
                 if entry:
                     ones.add((i + 1, j + 1))

@@ -133,6 +133,37 @@ def test_check_bijections_fails_when_a_map_swaps_two_images(
 
 
 @pytest.mark.parametrize(
+    "name, kind, n, a, d, moved, onto",
+    [
+        # two dipping stripes sent to one image, over (6, 1)
+        ("detach_domino", "domino", 7, 3, 2,
+         Stripe((5, 2), (2, 2)), Stripe((6, 1), (4,))),
+        # the image of a stripe over (3, 1) moved onto (2, 2)
+        ("to_width_stripe", "width", 4, 2, 1,
+         Stripe((3, 1), (2,)), Stripe((2, 2), (2,))),
+    ],
+)
+def test_check_bijections_names_the_shape_an_image_moves_onto(
+    monkeypatch, name, kind, n, a, d, moved, onto
+):
+    # the images over onto.outer are still exactly its target, so only a
+    # comparison across shapes sees the repeat there
+    real = getattr(checks, name)
+
+    def redirected(s, n_, a_, d_):
+        return real(onto if (s, n_, a_) == (moved, n, a) else s, n_, a_, d_)
+
+    monkeypatch.setattr(checks, name, redirected)
+    ok, lines = checks.check_bijections(n)
+    assert ok is False
+    named = [line for line in lines if "not a bijection" in line]
+    assert named == [
+        f"n={n} a={a}: {kind} maps are not a bijection over {lam} at d={d}"
+        for lam in sorted({moved.outer, onto.outer}, reverse=True)
+    ]
+
+
+@pytest.mark.parametrize(
     "n, outer, d, expected",
     [
         # (4,) keeps its family at d = 0: only the domino check at d = 1 sees it
@@ -144,8 +175,8 @@ def test_check_bijections_fails_when_a_map_swaps_two_images(
 def test_check_bijections_fails_when_a_family_goes_missing(
     monkeypatch, n, outer, d, expected
 ):
-    # the inner-first sweep skips an emptied family unless it still visits the
-    # shape for the family one degree lower or for the width family
+    # an emptied family maps nothing, so the sweep sees it only as target
+    # stripes that no image reaches: one degree lower, or in the width family
     real = checks._stripes_over_even_inners
 
     def dropped(inner_size, added, max_first_part=None):

@@ -62,6 +62,9 @@ def test_parameter_errors_exit_2():
         (("hilb", "--n", "4", "--a", "0", "--method", "oracle", "--cap", "-1"), None),
         (("grfrob", "--n", "4", "--a", "0", "--method", "oracle", "--cap", "0"), None),
         (("check", "basis", "--n", "4", "--a", "0", "--cap", "-5"), None),
+        # the formula methods ignore the cap, but still reject a bad one
+        (("grfrob", "--n", "3", "--a", "1", "--cap", "-5"), None),
+        (("hilb", "--n", "3", "--a", "1", "--cap", "0"), None),
         (("check", "basis", "--n", "4", "--a", "0"), {"INVOLUTION_ORACLE_MAX_N": "0"}),
     ]:
         out = run(*args, env_extra=env)

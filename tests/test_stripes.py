@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from involution_harmonics import checks, cli
+from involution_harmonics.bijections import first_lowest_point, last_lowest_point
 from involution_harmonics.errors import DomainViolationError
 from involution_harmonics.partitions import (
     Stripe,
@@ -77,17 +78,24 @@ def test_small_width():
     assert width(Stripe((), ())) == 0
 
 
-@pytest.mark.parametrize(
-    "s",
-    [
-        Stripe((3, 3), (1,)),  # two boxes in one column
-        Stripe((2,), (3,)),  # inner not inside outer
-        Stripe((1, 2), ()),  # outer not a partition
-    ],
-)
+NOT_HORIZONTAL = [
+    Stripe((3, 3), (1,)),  # two boxes in one column
+    Stripe((2,), (3,)),  # inner not inside outer
+    Stripe((1, 2), ()),  # outer not a partition
+]
+
+
+@pytest.mark.parametrize("s", NOT_HORIZONTAL)
 def test_width_rejects_a_shape_that_is_not_a_horizontal_stripe(s):
     with pytest.raises(DomainViolationError, match="not a horizontal stripe"):
         width(s)
+
+
+@pytest.mark.parametrize("s", NOT_HORIZONTAL)
+@pytest.mark.parametrize("lowest_point", [first_lowest_point, last_lowest_point])
+def test_lowest_points_reject_a_shape_that_is_not_a_horizontal_stripe(lowest_point, s):
+    with pytest.raises(DomainViolationError, match="not a horizontal stripe"):
+        lowest_point(s)
 
 
 def steps_from_string(text):

@@ -265,6 +265,10 @@ def test_matrix_validation():
         rsk_symmetric([[0, 1]])  # not square
     with pytest.raises(InvalidMatrixError):
         rsk_symmetric([[0, 2], [2, 0]])  # entries outside 0/1
+    with pytest.raises(InvalidMatrixError, match="is not 0 or 1"):
+        rsk_symmetric([[0, 1.0], [True, 0]])  # a float is not an entry
+    with pytest.raises(InvalidMatrixError, match="is not 0 or 1"):
+        rsk_symmetric([[0, True], [True, 0]])  # nor is a bool
     with pytest.raises(InvalidMatrixError):
         rsk_symmetric([[1]])  # diagonal one
     with pytest.raises(InvalidMatrixError):
