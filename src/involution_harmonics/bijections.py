@@ -110,6 +110,12 @@ def attach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
     return image
 
 
+def _check_outer_size(s: Stripe, n: int) -> None:
+    """The shadow maps act on stripes of n boxes; any other size is outside their domain."""
+    if sum(s.outer) != n:
+        raise DomainViolationError(f"outer shape {s.outer} has {sum(s.outer)} boxes, not n={n}")
+
+
 def to_width_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     """Send a nonnegative degree-d stripe to its width-(n - 2d + a) companion.
 
@@ -120,6 +126,7 @@ def to_width_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     check_degree_params(n, a, d)
     if not in_nonnegative_family(s, d):
         raise DomainViolationError(f"{s} is not a nonnegative degree-{d} stripe")
+    _check_outer_size(s, n)
     window = n - 2 * d + a
     if s.outer and s.outer[0] > window:
         raise DomainViolationError(
@@ -143,6 +150,7 @@ def to_nonnegative_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     """
     if not in_width_family(s, n, a, d):
         raise DomainViolationError(f"{s} does not have width {n - 2 * d + a}")
+    _check_outer_size(s, n)
     # a width is never below outer[0], so the window holds the whole prefix
     window = n - 2 * d + a
     steps = stripe_steps(s)

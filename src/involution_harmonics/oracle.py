@@ -30,19 +30,28 @@ invariants are all functions on the S_mu-orbits of points and dim F_top^{S_mu}
 is the number of orbit types, with no elimination; the types are counted, not
 listed.  Young's rule on these counts gives every ungraded multiplicity, and
 since each F_d lies in F_top, a lambda with ungraded multiplicity 0 has
-multiplicity 0 in every degree.  So types are listed and ranks eliminated
-only for the mu that occur.  That leaves out (1^n) for n >= 2, whose
-stabilizers hold a transposition, and the other long mu, which carry nearly
-all of the rank work.  The graded dimensions are Young's rule at mu = (1^n),
+multiplicity 0 in every degree.  So ranks are eliminated only for the lambda
+that occur, from one of the two ends of Young's rule.  The high lambda are
+solved top-down from the ranks of S_lambda.  The low lambda, whose untwisted
+systems reach thousands of rows, are solved bottom-up from the sign-twisted
+ranks dim Hom_{S_mu}(sgn, F_d) at mu = lambda', which are
+sum over nu of K(nu', lambda') * mult_nu(F_d), the image of Young's rule under
+omega (e_mu is the sum of K(lambda', mu) s_lambda, Macdonald I.6).  A point
+whose stabilizer in S_mu holds an odd permutation carries no sign-twisted
+function, so the twisted rows are the orbit types with no pair inside a
+block and at most one fixed point per block, and they are few when mu has
+few blocks.  The threshold between the two ends minimises the sum of the
+squared row counts.  The graded dimensions are Young's rule at mu = (1^n),
 the sum over lambda of K(lambda, 1^n) * mult_lambda(F_d), from the same
 multiplicities.  `check basis` evaluates the candidates on the (1^n) types;
 their columns are 0/1, and a full rank over GF(2) certifies them before any
 exact elimination.
 
-Every list of types must be as long as its count, every rank that is
-computed must saturate at the number of point types by the top degree, and
-every multiplicity, ungraded or graded, must be nonnegative; all are checked,
-never assumed.  The elimination is sparse,
+Every list of types, untwisted or twisted, must be as long as its count,
+every rank that is computed must saturate at the number of its point types
+by the top degree, every lambda's multiplicity at the top degree must equal
+its ungraded multiplicity, and every multiplicity, ungraded or graded, must
+be nonnegative; all are checked, never assumed.  The elimination is sparse,
 fraction-free and exact: a column keeps only its non-zero integer entries,
 each pivot step multiplies through instead of dividing, and every reduced
 column is divided by its content.
@@ -51,6 +60,7 @@ column is divided by its content.
 from __future__ import annotations
 
 import os
+from itertools import combinations
 from math import comb, gcd, prod
 from typing import Iterable
 
@@ -61,7 +71,7 @@ from .errors import (
     _is_int,
     check_locus_params,
 )
-from .partitions import Partition, horizontal_strips_over, partitions_of
+from .partitions import Partition, conjugate, horizontal_strips_over, partitions_of
 from .schur import QPoly, SchurPoly, _add_into, _frozen, qp_normal, schur_terms
 from .tableaux import candidate_basis
 
@@ -100,16 +110,23 @@ def oracle_size_cap(explicit: int | None = None) -> int:
     return cap
 
 
-def matchings_of_size(mu: Partition, d: int) -> tuple[Matching, ...]:
+def matchings_of_size(
+    mu: Partition, d: int, twisted: bool = False
+) -> tuple[Matching, ...]:
     """The S_mu-orbit types of sets of d disjoint pairs of letters 1..n.
 
     Block by block, the counts of the keys (b, b), (b, L-1), ..., (b, b+1)
     are chosen, smallest count first and the last key varying fastest.  For
     mu = (1^n) each type is one matching, and the order leaves letter b
-    unmatched first, then pairs it with its smallest partner first.
+    unmatched first, then pairs it with its smallest partner first.  The
+    twisted types are those with no pair inside a block and at most one
+    letter of each block unmatched.
     """
     keys = [
-        (b, c) for b in range(len(mu)) for c in (b, *range(len(mu) - 1, b, -1))
+        (b, c)
+        for b in range(len(mu))
+        for c in (b, *range(len(mu) - 1, b, -1))
+        if not (twisted and b == c)
     ]
     free = list(mu)
     out: list[Matching] = []
@@ -117,7 +134,8 @@ def matchings_of_size(mu: Partition, d: int) -> tuple[Matching, ...]:
 
     def rec(k: int, need: int) -> None:
         if need == 0:
-            out.append(tuple(acc))
+            if not twisted or all(f <= 1 for f in free):
+                out.append(tuple(acc))
             return
         if k == len(keys):
             return
@@ -140,21 +158,24 @@ def matchings_of_size(mu: Partition, d: int) -> tuple[Matching, ...]:
     return tuple(out)
 
 
-def _type_counts(mus: Iterable[Partition], d: int) -> dict[Partition, int]:
-    """len(matchings_of_size(mu, d)) for each mu, counted without listing the types.
+def _type_counts(
+    mus: Iterable[Partition], d: int, twisted: bool = False
+) -> dict[Partition, int]:
+    """len(matchings_of_size(mu, d, twisted)) for each mu, counted without listing.
 
     A type is a multigraph with loops and d edges on the blocks of mu, where a
     loop uses two letters of its block and an edge one letter of each end.  Its
     count depends only on the multiset of block capacities, so the smallest
     block is removed with each choice of its edges and loops, and the counts
-    are memoized on the sorted capacities left.
+    are memoized on the sorted capacities left.  A twisted type has no loop,
+    and each block keeps at most one letter unused.
     """
     memo: dict[tuple[Partition, int], int] = {}
 
     def count(caps: Partition, need: int) -> int:
         # caps: the capacities left, decreasing, zeros left out
         if need == 0:
-            return 1
+            return 1 if not twisted or not caps or caps[0] <= 1 else 0
         if 2 * need > sum(caps):
             return 0
         key = (caps, need)
@@ -166,8 +187,10 @@ def _type_counts(mus: Iterable[Partition], d: int) -> dict[Partition, int]:
                 nonlocal total
                 if i == len(rest):
                     left = tuple(sorted(filter(None, rest), reverse=True))
-                    for loops in range(min(free // 2, need - edges) + 1):
-                        total += count(left, need - edges - loops)
+                    most = 0 if twisted else min(free // 2, need - edges)
+                    if not twisted or free <= 1:
+                        for loops in range(most + 1):
+                            total += count(left, need - edges - loops)
                     return
                 cap = rest[i]
                 for x in range(min(cap, free, need - edges) + 1):
@@ -247,20 +270,20 @@ def _column(m: Matching, rows: list[tuple[dict, frozenset]]) -> Column:
     }
 
 
-def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[int, ...]:
-    """dim F_d^{S_mu} for d = 0, 1, ..., (n - a) / 2, by exact elimination.
+def _saturated(
+    n: int, a: int, mu: Partition, size: int, columns, what: str
+) -> tuple[int, ...]:
+    """Cumulative ranks of columns(0), columns(1), ... up to the top degree.
 
-    Rows are the given top-degree types of mu, columns the orbit sums of degree
-    <= d; the rank must reach the number of point types by the top degree.
+    The rank must reach the number of rows, `size` point types, by the top
+    degree; the columns of a degree are skipped once it has.
     """
-    rows = _rows(types)
-    size = len(rows)
     basis: list[tuple[int, Column]] = []
     ranks: list[int] = []
     for d in range((n - a) // 2 + 1):
         if len(basis) < size:
-            for m in matchings_of_size(mu, d):
-                reduced = _reduce_column(_column(m, rows), basis)
+            for col in columns(d):
+                reduced = _reduce_column(col, basis)
                 if reduced:
                     basis.append((min(reduced), reduced))
                     if len(basis) == size:
@@ -268,10 +291,93 @@ def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[
         ranks.append(len(basis))
     if ranks[-1] != size:
         raise InvariantError(
-            f"rank {ranks[-1]} at the top degree of n={n}, a={a}, mu={mu} "
-            f"does not reach the {size} point types"
+            f"{what}rank {ranks[-1]} at the top degree of n={n}, a={a}, mu={mu} "
+            f"does not reach the {size} {what}point types"
         )
     return tuple(ranks)
+
+
+def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[int, ...]:
+    """dim F_d^{S_mu} for d = 0, 1, ..., (n - a) / 2, by exact elimination.
+
+    Rows are the given top-degree types of mu, columns the orbit sums of degree
+    <= d; the rank must reach the number of point types by the top degree.
+    """
+    rows = _rows(types)
+
+    def columns(d: int) -> Iterable[Column]:
+        return (_column(m, rows) for m in matchings_of_size(mu, d))
+
+    return _saturated(n, a, mu, len(rows), columns, "")
+
+
+def _sign(word: list[int]) -> int:
+    """The sign of a permutation of 0..len(word)-1 given as its list of images."""
+    seen = [False] * len(word)
+    sign = 1
+    for i in range(len(word)):
+        if not seen[i]:
+            seen[i] = True
+            j = word[i]
+            while j != i:
+                seen[j] = True
+                j = word[j]
+                sign = -sign
+    return sign
+
+
+def _twisted_ranks(
+    n: int, a: int, mu: Partition, types: tuple[Matching, ...]
+) -> tuple[int, ...]:
+    """dim Hom_{S_mu}(sgn, F_d) for d = 0, 1, ..., (n - a) / 2, by exact elimination.
+
+    Rows are letter representatives of the given twisted top-degree types.
+    The sign projection of a degree-d monomial vanishes unless its matching
+    is twisted; on a row it sums eps(S) over the d-subsets S of the row's
+    pairs of its type that leave at most one letter of each block unmatched,
+    and eps(S) is the sign of the word that lists, block by block, S's pair
+    ends key by key (pairs sorted, one order at both ends), then the
+    unmatched letter.
+    """
+    block = [b for b, part in enumerate(mu) for _ in range(part)]
+    starts = [sum(mu[:b]) for b in range(len(mu))]
+    rows = []
+    for t in types:
+        nxt = list(starts)
+        pairs = []
+        for (b, c), m in t:
+            for _ in range(m):
+                pairs.append((nxt[b], nxt[c]))
+                nxt[b] += 1
+                nxt[c] += 1
+        fixed = [i for b, i in enumerate(nxt) if i < starts[b] + mu[b]]
+        rows.append((sorted(pairs), fixed))
+    top = (n - a) // 2
+
+    def columns(d: int) -> list[Column]:
+        out: dict[Matching, Column] = {}
+        for r, (pairs, fixed) in enumerate(rows):
+            for dropped in combinations(range(top), top - d):
+                unmatched = fixed + [i for p in dropped for i in pairs[p]]
+                if len({block[i] for i in unmatched}) < len(unmatched):
+                    continue
+                ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
+                for p, (i, j) in enumerate(pairs):
+                    if p not in dropped:
+                        ends.setdefault((block[i], block[j]), []).append((i, j))
+                keyed = sorted(ends.items())
+                words: list[list[int]] = [[] for _ in mu]
+                for (b, c), ps in keyed:
+                    for i, j in sorted(ps):
+                        words[b].append(i)
+                        words[c].append(j)
+                for i in unmatched:
+                    words[block[i]].append(i)
+                col = out.setdefault(tuple((k, len(ps)) for k, ps in keyed), {})
+                col[r] = col.get(r, 0) + _sign([i for word in words for i in word])
+        return [{r: x for r, x in col.items() if x} for _, col in sorted(out.items())]
+
+    return _saturated(n, a, mu, len(rows), columns, "twisted ")
 
 
 def _kostka_rows(n: int) -> dict[Partition, dict[Partition, int]]:
@@ -295,21 +401,23 @@ def _kostka_rows(n: int) -> dict[Partition, dict[Partition, int]]:
 
 
 def _young_decomposition(
-    ranks: dict[Partition, tuple[int, ...]], kostka: dict[Partition, dict[Partition, int]]
+    ranks: dict[Partition, tuple[int, ...]], rows: dict[Partition, dict[Partition, int]]
 ) -> SchurPoly:
-    """Graded multiplicities from the invariant ranks of Young subgroups and h_mu.
+    """Graded multiplicities from invariant ranks and the rows of Young's rule.
 
-    `ranks` lists partitions of n in decreasing lexicographic order, so every
-    lambda with K(lambda, mu) != 0 other than mu itself comes before mu; a
-    partition left out is taken to have multiplicity 0 in every degree.
+    The rank of mu is the sum over lambda of rows[mu][lambda] times the
+    cumulative multiplicity of lambda, and rows[mu][mu] = 1.  `ranks` lists
+    partitions so that every other lambda with a non-zero entry in the row
+    of mu comes before mu; a partition left out is taken to have
+    multiplicity 0 in every degree.
     """
     filtration: dict[Partition, list[int]] = {}
     out: SchurPoly = {}
     for mu, r in ranks.items():
-        h_mu = kostka[mu]
+        row = rows[mu]
         cumulative = list(r)
         for lam, mult in filtration.items():
-            k = h_mu.get(lam, 0)
+            k = row.get(lam, 0)
             for d, m in enumerate(mult):
                 cumulative[d] -= k * m
         filtration[mu] = cumulative
@@ -321,8 +429,22 @@ def _young_decomposition(
     return out
 
 
+def _listed(types: tuple[Matching, ...], count: int, what: str) -> tuple[Matching, ...]:
+    if len(types) != count:
+        raise InvariantError(f"{len(types)} {what} listed, {count} counted")
+    return types
+
+
 def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
-    """The graded Frobenius expansion and the Hilbert series."""
+    """The graded Frobenius expansion and the Hilbert series.
+
+    Young's rule on the top-degree type counts gives the ungraded
+    multiplicities.  The occurring lambda are then split at the threshold
+    that minimises the sum of squared row counts: those at or above it are
+    solved top-down from the ranks of S_lambda, those below it bottom-up
+    from the sign-twisted ranks of S_lambda', whose rows hold K(nu', lambda')
+    (Young's rule under omega: e_mu is the sum of K(lambda', mu) s_lambda).
+    """
     check_locus_params(n, a)
     cap = oracle_size_cap(size_cap)
     if n > cap:
@@ -334,16 +456,42 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
     kostka = _kostka_rows(n)
     counts = _type_counts(partitions_of(n), top)
     ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()}, kostka)
+    occurring = list(ungraded)
+    twisted_counts = _type_counts(map(conjugate, occurring), top, twisted=True)
+    costs = [
+        sum(counts[lam] ** 2 for lam in occurring[:s])
+        + sum(twisted_counts[conjugate(lam)] ** 2 for lam in occurring[s:])
+        for s in range(len(occurring) + 1)
+    ]
+    split = costs.index(min(costs))
     ranks = {}
-    for mu in ungraded:
-        types = matchings_of_size(mu, top)
-        if len(types) != counts[mu]:
-            raise InvariantError(
-                f"{len(types)} top-degree types of n={n}, a={a}, mu={mu} "
-                f"listed, {counts[mu]} counted"
-            )
-        ranks[mu] = _ranks(n, a, mu, types)
+    for lam in occurring[:split]:
+        types = _listed(
+            matchings_of_size(lam, top), counts[lam],
+            f"top-degree types of n={n}, a={a}, mu={lam}",
+        )
+        ranks[lam] = _ranks(n, a, lam, types)
+    twisted_ranks = {}
+    for lam in reversed(occurring[split:]):
+        mu = conjugate(lam)
+        types = _listed(
+            matchings_of_size(mu, top, twisted=True), twisted_counts[mu],
+            f"twisted top-degree types of n={n}, a={a}, mu={mu}",
+        )
+        twisted_ranks[lam] = _twisted_ranks(n, a, mu, types)
+    # the row of lambda in the omega-image: K(nu', lambda') over nu
+    twisted_rows = {
+        lam: {conjugate(nu): k for nu, k in kostka[conjugate(lam)].items()}
+        for lam in twisted_ranks
+    }
     frobenius = _young_decomposition(ranks, kostka)
+    frobenius.update(_young_decomposition(twisted_ranks, twisted_rows))
+    for lam, (mult,) in ungraded.items():
+        if sum(frobenius.get(lam, ())) != mult:
+            raise InvariantError(
+                f"top-degree multiplicity {sum(frobenius.get(lam, ()))} of {lam} "
+                f"at n={n}, a={a} differs from its ungraded multiplicity {mult}"
+            )
     dims = kostka[(1,) * n]
     acc: dict[Partition, list[int]] = {}
     for lam, coeff in frobenius.items():

@@ -24,11 +24,7 @@ from involution_harmonics.frobenius import (
     hilbert_series,
 )
 from involution_harmonics.involutions import involutions
-from involution_harmonics.oracle import (
-    graded_hilbert,
-    oracle_graded_frobenius,
-    verify_monomial_basis,
-)
+from involution_harmonics.oracle import _oracle, graded_hilbert, verify_monomial_basis
 from involution_harmonics.partitions import Stripe
 from involution_harmonics.schur import qp_at_one, schur_at_one
 from involution_harmonics.stripes import matched_pairs, stripe_steps, steps_to_string, width
@@ -121,18 +117,19 @@ def test_criterion_4_bijection_sweeps(capsys):
 def test_criterion_5_oracle_agreement(capsys):
     t0 = perf_counter()
     problems = []
-    for n, a in _valid_params(9):
+    for n, a in _valid_params(12):
         expansion = graded_frobenius_width(n, a)
-        if graded_hilbert(n, a, size_cap=9) != hilbert_series(expansion):
+        frobenius, hilbert = _oracle(n, a, 12)
+        if hilbert != hilbert_series(expansion):
             problems.append(f"hilbert mismatch at {(n, a)}")
-        if oracle_graded_frobenius(n, a, size_cap=9) != expansion:
+        if frobenius != expansion:
             problems.append(f"character mismatch at {(n, a)}")
     elapsed = perf_counter() - t0
     ok = not problems and elapsed < 600
     _report(
         capsys, 5, ok,
         f"exact ranks and characters match the formulas for all (n, a) "
-        f"with n <= 9 in {elapsed:.2f}s" + (f"; {problems}" if problems else ""),
+        f"with n <= 12 in {elapsed:.2f}s" + (f"; {problems}" if problems else ""),
     )
 
 

@@ -87,6 +87,27 @@ def test_shadow_domain_errors():
         to_nonnegative_stripe(Stripe((4,), (2,)), 4, 2, 2)  # degree out of range
     with pytest.raises(InvalidParametersError):
         to_width_stripe(Stripe((4,), (2,)), 4, 1, 1)  # parity
+    # outer shapes of 2 boxes at n = 1 and n = 3
+    with pytest.raises(DomainViolationError, match="not n=1"):
+        to_width_stripe(Stripe((2,), ()), 1, 1, 0)
+    with pytest.raises(DomainViolationError, match="not n=3"):
+        to_nonnegative_stripe(Stripe((2,), (2,)), 3, 1, 1)
+
+
+def test_shadow_maps_reject_every_outer_size_but_n():
+    # a stripe of the right family but the wrong size is a domain error, not a broken identity
+    for n, a, d in valid_triples(6):
+        for size in range(1, 9):
+            if size == n:
+                continue
+            for lam in partitions_of(size):
+                for s in stripe_family(lam, d):
+                    for shadow in (to_width_stripe, to_nonnegative_stripe):
+                        try:
+                            shadow(s, n, a, d)
+                        except DomainViolationError:
+                            continue
+                        pytest.fail(f"{shadow.__name__}({s}, {n}, {a}, {d}) did not raise")
 
 
 def test_shadow_maps_are_inverse_bijections():

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, permutations, product
 from math import comb, factorial
 
 import pytest
@@ -19,12 +19,15 @@ from involution_harmonics.errors import (
     check_locus_params,
 )
 from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
-from involution_harmonics.involutions import count_involutions
+from involution_harmonics.involutions import count_involutions, involutions
 from involution_harmonics.oracle import (
     _gf2_rank,
     _kostka_rows,
+    _oracle,
     _ranks,
     _reduce_column,
+    _sign,
+    _twisted_ranks,
     _type_counts,
     _young_decomposition,
     graded_hilbert,
@@ -33,7 +36,7 @@ from involution_harmonics.oracle import (
     oracle_size_cap,
     verify_monomial_basis,
 )
-from involution_harmonics.partitions import partitions_of
+from involution_harmonics.partitions import conjugate, partitions_of
 from involution_harmonics.schur import QP_ONE, pieri_mult, qp_normal
 from involution_harmonics.tableaux import candidate_basis
 
@@ -132,38 +135,103 @@ def test_invariant_ranks_saturate_at_the_orbit_count():
             assert invariant_ranks(n, a, mu)[-1] == len(matchings_of_size(mu, top))
 
 
+def test_twisted_types():
+    # blocks {1,2,3}, {4,5}, {6,7}: three pairs across blocks leave one letter
+    assert matchings_of_size((3, 2, 2), 3, twisted=True) == (
+        (((0, 2), 1), ((0, 1), 1), ((1, 2), 1)),
+        (((0, 2), 1), ((0, 1), 2)),
+        (((0, 2), 2), ((0, 1), 1)),
+    )
+    # a pair inside the one block, or two letters of it unmatched
+    assert matchings_of_size((4,), 2, twisted=True) == ()
+    assert matchings_of_size((4,), 1, twisted=True) == ()
+    assert matchings_of_size((1,) * 4, 2, twisted=True) == matchings_of_size((1,) * 4, 2)
+
+
 def test_type_counts_match_the_listed_types():
     for n in range(10):
         for d in range(n // 2 + 1):
             counts = _type_counts(partitions_of(n), d)
             assert counts == {mu: len(matchings_of_size(mu, d)) for mu in partitions_of(n)}
+            twisted = _type_counts(partitions_of(n), d, twisted=True)
+            assert twisted == {
+                mu: len(matchings_of_size(mu, d, twisted=True)) for mu in partitions_of(n)
+            }
             if n:
                 assert counts[(1,) * n] == count_involutions(n, n - 2 * d)
+                assert twisted[(1,) * n] == counts[(1,) * n]
+
+
+def run_optimized(code):
+    """The lines code prints under python -O, after it runs to the end."""
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.splitlines()
+
+
+ENTRY_POINTS = (
+    "for f in (o.graded_hilbert, o.oracle_graded_frobenius, o.verify_monomial_basis):\n"
+    "    try:\n"
+    "        f(4, 0)\n"
+    "    except InvariantError as e:\n"
+    "        print(f.__name__, 'raised:', e)\n"
+)
+NAMES = ("graded_hilbert", "oracle_graded_frobenius", "verify_monomial_basis")
 
 
 def test_oracle_raises_when_optimized_and_a_type_count_is_off():
     # one more type of S_(1^4) than there are is one copy of the sign
-    # representation, which is then listed and found missing
+    # representation, which the sign-twisted ranks of S_(4) then find missing
     code = (
         "import involution_harmonics.oracle as o\n"
         "from involution_harmonics.errors import InvariantError\n"
         "real = o._type_counts\n"
-        "def miscount(mus, d):\n"
-        "    counts = real(mus, d)\n"
-        "    counts[(1, 1, 1, 1)] += 1\n"
+        "def miscount(mus, d, twisted=False):\n"
+        "    counts = real(mus, d, twisted)\n"
+        "    if not twisted:\n"
+        "        counts[(1, 1, 1, 1)] += 1\n"
         "    return counts\n"
         "o._type_counts = miscount\n"
-        "for f in (o.graded_hilbert, o.oracle_graded_frobenius, o.verify_monomial_basis):\n"
-        "    try:\n"
-        "        f(4, 0)\n"
-        "    except InvariantError as e:\n"
-        "        print(f.__name__, 'raised:', e)\n"
-    )
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        f"{name} raised: 3 top-degree types of n=4, a=0, mu=(1, 1, 1, 1) listed, 4 counted"
-        for name in ("graded_hilbert", "oracle_graded_frobenius", "verify_monomial_basis")
+    ) + ENTRY_POINTS
+    assert run_optimized(code) == [
+        f"{name} raised: top-degree multiplicity 0 of (1, 1, 1, 1) at n=4, a=0 "
+        "differs from its ungraded multiplicity 1"
+        for name in NAMES
+    ]
+
+
+@pytest.mark.parametrize(
+    "twisted, message",
+    [
+        (False, "0 top-degree types of n=4, a=0, mu=(4,) listed, 1 counted"),
+        (True, "0 twisted top-degree types of n=4, a=0, mu=(2, 2) listed, 1 counted"),
+    ],
+)
+def test_oracle_raises_when_optimized_and_a_type_list_is_short(twisted, message):
+    # at (4, 0) the oracle solves s_(4) from S_(4) and s_(2,2) from the twisted S_(2,2)
+    code = (
+        "import involution_harmonics.oracle as o\n"
+        "from involution_harmonics.errors import InvariantError\n"
+        "real = o.matchings_of_size\n"
+        "def short(mu, d, twisted=False):\n"
+        "    types = real(mu, d, twisted)\n"
+        f"    return types[1:] if twisted is {twisted} else types\n"
+        "o.matchings_of_size = short\n"
+    ) + ENTRY_POINTS
+    assert run_optimized(code) == [f"{name} raised: {message}" for name in NAMES]
+
+
+def test_oracle_raises_when_optimized_and_the_twisted_rank_falls_short():
+    # with every sign zero no twisted column survives
+    code = (
+        "import involution_harmonics.oracle as o\n"
+        "from involution_harmonics.errors import InvariantError\n"
+        "o._sign = lambda word: 0\n"
+    ) + ENTRY_POINTS
+    assert run_optimized(code) == [
+        f"{name} raised: twisted rank 0 at the top degree of n=4, a=0, mu=(2, 2) "
+        "does not reach the 1 twisted point types"
+        for name in NAMES
     ]
 
 
@@ -259,18 +327,9 @@ def test_oracle_raises_when_optimized_and_the_elimination_breaks():
         "import involution_harmonics.oracle as o\n"
         "from involution_harmonics.errors import InvariantError\n"
         "o._reduce_column = lambda col, basis: {}\n"
-        "for f in (o.graded_hilbert, o.oracle_graded_frobenius, o.verify_monomial_basis):\n"
-        "    try:\n"
-        "        f(4, 0)\n"
-        "    except InvariantError:\n"
-        "        print(f.__name__, 'raised')\n"
-    )
-    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.splitlines() == [
-        "graded_hilbert raised",
-        "oracle_graded_frobenius raised",
-        "verify_monomial_basis raised",
+    ) + ENTRY_POINTS
+    assert [line.split(":")[0] for line in run_optimized(code)] == [
+        f"{name} raised" for name in NAMES
     ]
 
 
@@ -288,6 +347,98 @@ def test_oracle_equals_the_all_subgroup_reference():
         assert oracle_graded_frobenius(n, a, size_cap=7) == frobenius
         assert graded_hilbert(n, a, size_cap=7) == hilbert
         assert verify_monomial_basis(n, a, size_cap=7)["hilbert"] == list(hilbert)
+
+
+def untwisted_oracle(n, a):
+    """Every occurring lambda solved top-down from the ranks of S_lambda."""
+    kostka = _kostka_rows(n)
+    counts = _type_counts(partitions_of(n), (n - a) // 2)
+    ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()}, kostka)
+    ranks = {lam: invariant_ranks(n, a, lam) for lam in ungraded}
+    return _young_decomposition(ranks, kostka)
+
+
+def test_oracle_equals_the_untwisted_solve():
+    for n, a in valid_params(8):
+        assert oracle_graded_frobenius(n, a, size_cap=8) == untwisted_oracle(n, a)
+
+
+def test_oracle_solves_from_both_ends(monkeypatch):
+    # the rows of every system eliminated at (9, 3): 231 from the untwisted end alone
+    calls = []
+    for name in ("_ranks", "_twisted_ranks"):
+        def spy(n, a, mu, types, real=getattr(oracle, name), name=name):
+            calls.append((name, len(types)))
+            return real(n, a, mu, types)
+        monkeypatch.setattr(oracle, name, spy)
+    occurring = _oracle(9, 3, 9)[0]
+    assert {name for name, _ in calls} == {"_ranks", "_twisted_ranks"}
+    assert sum(rows for _, rows in calls) == 80
+    assert sum(_type_counts(occurring, 3).values()) == 231
+
+
+def test_sign():
+    for k in range(6):
+        for word in permutations(range(k)):
+            inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
+            assert _sign(list(word)) == (-1) ** inversions
+
+
+def young_subgroup(mu):
+    """Each element of S_mu as a dict on letters 1..n, with its sign."""
+    blocks, start = [], 1
+    for part in mu:
+        blocks.append(range(start, start + part))
+        start += part
+    for images in product(*(permutations(block) for block in blocks)):
+        word = [x for image in images for x in image]
+        inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
+        yield dict(zip(range(1, start), word)), (-1) ** inversions
+
+
+def sign_projection_ranks(n, a, mu):
+    """Rank per degree of sum over S_mu of sgn(sigma) sigma.x^m, m of at most d pairs.
+
+    Built literally from the group: each matching's signed images, evaluated
+    on every point of the locus, one column per matching.
+    """
+    group = list(young_subgroup(mu))
+    points = [frozenset(w.pairs) for w in involutions(n, a)]
+    basis, ranks = [], []
+    for d in range((n - a) // 2 + 1):
+        for m in map(letter_pairs, matchings_of_size((1,) * n, d)):
+            images = {}
+            for sigma, sign in group:
+                image = frozenset(tuple(sorted((sigma[i], sigma[j]))) for i, j in m)
+                images[image] = images.get(image, 0) + sign
+            column = {
+                r: x
+                for r, point in enumerate(points)
+                if (x := sum(c for image, c in images.items() if image <= point))
+            }
+            reduced = _reduce_column(column, basis)
+            if reduced:
+                basis.append((min(reduced), reduced))
+        ranks.append(len(basis))
+    return tuple(ranks)
+
+
+def test_twisted_ranks_are_the_ranks_of_the_sign_projection():
+    for n, a in valid_params(6):
+        top = (n - a) // 2
+        expansion = graded_frobenius_width(n, a)
+        cumulative = {
+            lam: list(accumulate(coeff + (0,) * (top + 1 - len(coeff))))
+            for lam, coeff in expansion.items()
+        }
+        for mu, h_mu in _kostka_rows(n).items():
+            got = _twisted_ranks(n, a, mu, matchings_of_size(mu, top, twisted=True))
+            assert got == sign_projection_ranks(n, a, mu), (n, a, mu)
+            # Young's rule under omega: e_mu is the sum of K(lambda', mu) s_lambda
+            assert got == tuple(
+                sum(h_mu.get(conjugate(lam), 0) * m[d] for lam, m in cumulative.items())
+                for d in range(top + 1)
+            )
 
 
 def test_skipped_subgroups_have_multiplicity_zero():
