@@ -33,23 +33,12 @@ from .frobenius import (
 )
 from .involutions import Involution, count_involutions, involution, involutions
 from .oracle import graded_hilbert, oracle_graded_frobenius, verify_monomial_basis
-from .partitions import (
-    Partition,
-    Stripe,
-    conjugate,
-    even_partitions_of,
-    is_horizontal_stripe,
-    partitions_of,
-    syt_count,
-)
-from .schur import h_complete, pieri_mult, plethysm_h_h2, truncate_first_part
-from .stripes import matched_pairs, stripe_steps, width
+from .partitions import Partition, Stripe
+from .stripes import width
 from .tableaux import (
     candidate_basis,
     candidate_monomial,
     involution_tableau_pair,
-    reverse_insert_strip,
-    row_insert,
     rsk_symmetric,
     rsk_symmetric_inverse,
 )
@@ -68,37 +57,24 @@ __all__ = [
     "attach_domino",
     "candidate_basis",
     "candidate_monomial",
-    "conjugate",
     "count_involutions",
     "detach_domino",
-    "even_partitions_of",
     "first_lowest_point",
     "frobenius_total",
     "graded_frobenius_positive",
     "graded_frobenius_signed",
     "graded_frobenius_width",
     "graded_hilbert",
-    "h_complete",
     "hilbert_series",
     "involution",
     "involution_tableau_pair",
     "involutions",
-    "is_horizontal_stripe",
     "last_lowest_point",
-    "matched_pairs",
     "oracle_graded_frobenius",
-    "partitions_of",
-    "pieri_mult",
-    "plethysm_h_h2",
-    "reverse_insert_strip",
-    "row_insert",
     "rsk_symmetric",
     "rsk_symmetric_inverse",
-    "stripe_steps",
-    "syt_count",
     "to_nonnegative_stripe",
     "to_width_stripe",
-    "truncate_first_part",
     "verify_monomial_basis",
     "width",
 ]

@@ -15,8 +15,8 @@ The ungraded total and the Hilbert series specialize these.
 
 from __future__ import annotations
 
-from .errors import InvariantError, check_locus_params
-from .partitions import Partition, syt_count
+from .errors import DomainViolationError, InvariantError, check_locus_params
+from .partitions import Partition, is_partition, syt_count
 from .schur import (
     QP_ONE,
     QPoly,
@@ -79,9 +79,14 @@ def frobenius_total(n: int, a: int) -> SchurPoly:
 
 
 def hilbert_series(f: SchurPoly) -> QPoly:
-    """Dimension series: each Schur term contributes its standard-filling count."""
+    """Dimension series: each Schur term contributes its standard-filling count.
+
+    DomainViolationError when a key is not a partition.
+    """
     acc: dict[Partition, list[int]] = {}
     for lam, coeff in f.items():
+        if not is_partition(lam):
+            raise DomainViolationError(f"Schur key {lam!r} is not a partition")
         k = syt_count(lam)
         _add_into(acc, (), [k * c for c in coeff])
     return _frozen(acc).get((), ())

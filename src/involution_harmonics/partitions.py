@@ -11,7 +11,7 @@ from itertools import product
 from math import factorial, prod
 from typing import Iterator, NamedTuple
 
-from .errors import InvalidParametersError
+from .errors import InvalidParametersError, _is_int
 
 Partition = tuple[int, ...]
 
@@ -48,15 +48,29 @@ def is_even_partition(p: Partition) -> bool:
 
 
 def is_horizontal_stripe(outer: Partition, inner: Partition) -> bool:
-    """True iff inner fits inside outer with at most one box left per column.
+    """True iff both shapes are partitions with at most one box of outer/inner per column.
 
     That is the row interlacing outer[i+1] <= inner[i] <= outer[i]; inner
     needs at least len(outer) - 1 rows, since every outer row past the first
-    is positive.
+    is positive.  The interlacing makes both shapes weakly decreasing, so they
+    are partitions once their parts are ints (not bools) and their last parts
+    positive.  Every map on stripes gates its domain here.
     """
     if not contains(outer, inner) or len(inner) < len(outer) - 1:
         return False
-    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
+    if not all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1)):
+        return False
+    return (
+        all(map(_is_int, outer))
+        and all(map(_is_int, inner))
+        and (not outer or outer[-1] >= 1)
+        and (not inner or inner[-1] >= 1)
+    )
+
+
+def is_partition(p) -> bool:
+    """True iff p holds ints >= 1 (not bools) in weakly decreasing order."""
+    return is_horizontal_stripe(p, p)  # the empty stripe p/p
 
 
 @cache

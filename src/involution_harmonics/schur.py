@@ -55,13 +55,6 @@ def _frozen(acc: dict) -> SchurPoly:
     return out
 
 
-def h_complete(a: int) -> SchurPoly:
-    """The complete homogeneous generator of degree a, as a SchurPoly."""
-    if a < 0:
-        raise InvalidParametersError(f"degree must be nonnegative, got {a}")
-    return {(a,) if a else (): QP_ONE}
-
-
 def pieri_mult(f: SchurPoly, a: int, max_first_part: int | None = None) -> SchurPoly:
     """Multiply by the degree-a complete homogeneous generator.
 
@@ -91,13 +84,6 @@ def plethysm_h_h2(d: int) -> SchurPoly:
     if d == -1:
         return {}
     return {lam: QP_ONE for lam in even_partitions_of(2 * d)}
-
-
-def truncate_first_part(f: SchurPoly, bound: int) -> SchurPoly:
-    """Keep only the terms whose partition has first part <= bound."""
-    if bound < 0:
-        raise InvalidParametersError(f"bound must be nonnegative, got {bound}")
-    return {lam: coeff for lam, coeff in f.items() if not lam or lam[0] <= bound}
 
 
 def schur_at_one(f: SchurPoly) -> dict[Partition, int]:

@@ -14,7 +14,6 @@ from typing import Iterator
 from .errors import (
     DomainViolationError,
     InvariantError,
-    _is_int,
     check_degree_params,
     check_locus_params,
 )
@@ -59,32 +58,16 @@ def steps_to_string(steps: Steps) -> str:
     return "".join(_STEP_CHARS[s] for s in steps)
 
 
-def stripe_from_columns(outer: Partition, columns) -> Stripe:
-    """The stripe over `outer` whose occupied columns are exactly `columns`.
-
-    Row i holds the bottom boxes of columns outer[i+1]+1 .. outer[i] (0 past
-    the last row), so its inner row ends before the run of chosen columns at
-    the right of that range.  Raises DomainViolationError when no horizontal
-    stripe has that column set: a chosen column left of an unchosen one in
-    the same range would leave no partition shape behind.
-    """
-    cols = set(columns)
-    last = outer[0] if outer else 0
-    for c in cols:
-        if not (_is_int(c) and 0 < c <= last):
-            # integers in order, then the rest by repr: mixed types do not compare
-            shown = sorted(filter(_is_int, cols))
-            shown += sorted((x for x in cols if not _is_int(x)), key=repr)
-            raise DomainViolationError(
-                f"columns {shown!r} do not all index columns of {outer}"
-            )
-    return _stripe_from_columns(outer, cols)
-
-
 def _stripe_from_columns(outer: Partition, cols: set[int]) -> Stripe:
-    """stripe_from_columns on a set of integers already known to lie in 1..outer[0].
+    """The stripe over `outer` whose occupied columns are exactly `cols`.
 
-    Still raises DomainViolationError when the columns leave no partition shape.
+    The columns must be ints in 1..outer[0], as every caller reads them off a
+    stripe's own steps; they are not checked.  Row i holds the bottom boxes of
+    columns outer[i+1]+1 .. outer[i] (0 past the last row), so its inner row
+    ends before the run of chosen columns at the right of that range.  Raises
+    DomainViolationError when no horizontal stripe has that column set: a
+    chosen column left of an unchosen one in the same range would leave no
+    partition shape behind.
     """
     inner: list[int] = []
     for i, right in enumerate(outer):

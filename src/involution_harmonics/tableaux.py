@@ -1,12 +1,13 @@
-"""Row insertion, RSK for symmetric 0/1 matrices, and the candidate monomial basis.
+"""Symmetric RSK on 0/1 matrices, reverse insertion, and the candidate monomial basis.
 
 Tableaux are tuples of tuples of ints, rows weakly increasing left to right,
-columns strictly increasing top to bottom.  Insertion and reverse insertion
-both work in place on mutable list rows inside this module; the public
-functions still take and return tuples of tuples.  RSK is implemented for
-general nonnegative-integer matrices through the sorted two-line array and then
-specialized to the symmetric zero-diagonal case, where the insertion and
-recording tableaux coincide and the shape has even column lengths.
+columns strictly increasing top to bottom.  Schensted insertion (`_bump`) and
+reverse insertion (`_unbump`) work in place on mutable list rows inside this
+module; the public functions take and return tuples of tuples.  The general
+correspondence, `_rsk_rows`, inserts the sorted two-line array of any multiset
+of biletters; the symmetric maps specialize it to the zero-diagonal case,
+where the insertion and recording tableaux coincide and the shape has even
+column lengths.
 
 In the symmetric maps the rows stay lists from the first insertion to the last
 check and become tuples once, at the end.  Both symmetric invariants, equal
@@ -54,7 +55,9 @@ def transpose_tableau(t: Rows) -> Rows:
 
 
 def is_standard_on_content(t: Rows) -> bool:
-    """Distinct entries, rows and columns strictly increasing."""
+    """Distinct entries, rows non-empty, rows and columns strictly increasing."""
+    if not all(t):
+        return False
     entries = [x for row in t for x in row]
     if len(set(entries)) != len(entries):
         return False
@@ -79,13 +82,6 @@ def _bump(rows: list[list[int]], value: int) -> int:
         row[k], value = value, row[k]
     rows.append([value])
     return len(rows) - 1
-
-
-def row_insert(t: Rows, value: int) -> tuple[Rows, tuple[int, int]]:
-    """Schensted row insertion.  Returns the new tableau and the box it grew."""
-    rows = [list(row) for row in t]
-    r = _bump(rows, value)
-    return tuple(map(tuple, rows)), (r, len(rows[r]) - 1)
 
 
 def _unbump(rows: list[list[int]], r: int) -> int:
@@ -134,7 +130,12 @@ def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]
 
 
 def _rsk_rows(biletters) -> tuple[list[list[int]], list[list[int]]]:
-    """rsk on mutable rows: the insertion and recording rows as lists."""
+    """Row-insertion correspondence on a multiset of (row, column) biletters.
+
+    Returns the insertion and recording rows as lists.  The recording tableau
+    grows by the box each insertion adds, so it keeps the shape of the
+    insertion tableau.
+    """
     p: list[list[int]] = []
     q: list[list[int]] = []
     for top, bottom in sorted(biletters):
@@ -145,18 +146,8 @@ def _rsk_rows(biletters) -> tuple[list[list[int]], list[list[int]]]:
     return p, q
 
 
-def rsk(biletters) -> tuple[Rows, Rows]:
-    """Row-insertion correspondence on a multiset of (row, column) biletters.
-
-    The recording tableau grows by the box each insertion adds, so it keeps
-    the shape of the insertion tableau.
-    """
-    p, q = _rsk_rows(biletters)
-    return tuple(map(tuple, p)), tuple(map(tuple, q))
-
-
 def rsk_inverse(p: Rows, q: Rows) -> list[tuple[int, int]]:
-    """Invert rsk when the recording tableau is standard on distinct entries."""
+    """Invert _rsk_rows when the recording tableau is standard on distinct entries."""
     if shape(p) != shape(q):
         raise ShapeMismatchError(f"shapes {shape(p)} and {shape(q)} differ")
     cell = {x: (r, c) for r, row in enumerate(q) for c, x in enumerate(row)}

@@ -16,13 +16,7 @@ from itertools import accumulate
 
 from involution_harmonics.errors import check_degree_params, check_locus_params
 from involution_harmonics.partitions import Stripe, partitions_of
-from involution_harmonics.schur import (
-    QP_ZERO,
-    pieri_mult,
-    plethysm_h_h2,
-    qp_normal,
-    truncate_first_part,
-)
+from involution_harmonics.schur import QP_ZERO, pieri_mult, plethysm_h_h2, qp_normal
 from involution_harmonics.stripes import in_nonnegative_family, width
 
 
@@ -56,6 +50,11 @@ def schur_sub(f, g):
     for lam, coeff in g.items():
         accumulate_term(out, lam, qp_neg(coeff))
     return out
+
+
+def truncated(f, bound):
+    """The terms of f whose partition has first part <= bound."""
+    return {lam: coeff for lam, coeff in f.items() if not lam or lam[0] <= bound}
 
 
 def _path_width(steps):
@@ -146,4 +145,4 @@ def signed_term(n, a, d):
     check_locus_params(n, a)
     current = pieri_mult(plethysm_h_h2(d), n - 2 * d)
     previous = pieri_mult(plethysm_h_h2(d - 1), n - 2 * d + 2)
-    return truncate_first_part(schur_sub(current, previous), n - 2 * d + a)
+    return truncated(schur_sub(current, previous), n - 2 * d + a)

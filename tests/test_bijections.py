@@ -92,6 +92,11 @@ def test_shadow_domain_errors():
         to_width_stripe(Stripe((2,), ()), 1, 1, 0)
     with pytest.raises(DomainViolationError, match="not n=3"):
         to_nonnegative_stripe(Stripe((2,), (2,)), 3, 1, 1)
+    # shapes with a zero part are no partitions, whatever their sizes
+    with pytest.raises(DomainViolationError):
+        to_nonnegative_stripe(Stripe((2,), (0,)), 2, 2, 0)
+    with pytest.raises(DomainViolationError):
+        to_width_stripe(Stripe((4, 4), (4, 0)), 8, 0, 2)
 
 
 def test_shadow_maps_reject_every_outer_size_but_n():

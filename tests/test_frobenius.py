@@ -2,7 +2,7 @@
 
 import pytest
 
-from involution_harmonics.errors import InvalidParametersError
+from involution_harmonics.errors import DomainViolationError, InvalidParametersError
 from involution_harmonics.frobenius import (
     frobenius_total,
     graded_frobenius_positive,
@@ -67,6 +67,12 @@ def test_hilbert_values():
     assert hilbert_series(graded_frobenius_width(4, 0)) == (1, 2)
     assert hilbert_series(graded_frobenius_width(4, 2)) == (1, 5)
     assert hilbert_series(graded_frobenius_width(7, 1)) == (1, 20, 70, 14)
+
+
+@pytest.mark.parametrize("f", [{(-1,): (3, -2)}, {(1, 2): (1,)}, {(2, 0): (1,)}])
+def test_hilbert_series_rejects_a_key_that_is_not_a_partition(f):
+    with pytest.raises(DomainViolationError, match="is not a partition"):
+        hilbert_series(f)
 
 
 def test_dimensions_sum_to_the_point_count():

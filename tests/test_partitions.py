@@ -185,6 +185,22 @@ def test_horizontal_stripe_matches_interlacing():
                         assert interlaced == is_horizontal_stripe_by_columns(lam, mu)
 
 
+@pytest.mark.parametrize(
+    "outer, inner",
+    [
+        ((2, 0), (1,)),  # a zero part
+        ((2,), (0,)),
+        ((0, 0), (0,)),
+        ((4, 4), (4, 0)),
+        ((2, -1), (1,)),  # a negative part
+        ((2,), (True,)),  # a bool is not a part
+    ],
+)
+def test_horizontal_stripe_needs_two_partitions(outer, inner):
+    # the row interlacing alone accepts each pair; only the parts are at fault
+    assert not is_horizontal_stripe(outer, inner)
+
+
 def test_horizontal_strips_over_values():
     assert list(horizontal_strips_over((1,), 2)) == [(3,), (2, 1)]
     assert list(horizontal_strips_over((2, 1), 2)) == [

@@ -17,7 +17,6 @@ from involution_harmonics.schur import (
     QPoly,
     _add_into,
     _frozen,
-    h_complete,
     is_nonnegative,
     pieri_mult,
     plethysm_h_h2,
@@ -25,10 +24,9 @@ from involution_harmonics.schur import (
     qp_normal,
     schur_at_one,
     schur_terms,
-    truncate_first_part,
 )
 
-from families import accumulate_term, qp_add, qp_neg, qp_shift, schur_sub
+from families import accumulate_term, qp_add, qp_neg, qp_shift, schur_sub, truncated
 
 
 def qp(*coeffs: int) -> QPoly:
@@ -67,13 +65,6 @@ def test_qp_shift_and_coeff():
     assert qp_coeff((1, 2), 1) == 2
     assert qp_coeff((1, 2), 5) == 0
     assert qp_at_one((1, 2, 3)) == 6
-
-
-def test_h_complete():
-    assert h_complete(0) == {(): QP_ONE}
-    assert h_complete(3) == {(3,): QP_ONE}
-    with pytest.raises(InvalidParametersError):
-        h_complete(-1)
 
 
 def test_pieri_examples():
@@ -124,19 +115,14 @@ def test_plethysm_counts_match_partition_counts():
         assert len(plethysm_h_h2(d)) == len(partitions_of(d))
 
 
-def test_truncate_first_part():
-    f = {(4,): QP_ONE, (2, 2): QP_ONE, (): QP_ONE}
-    assert truncate_first_part(f, 3) == {(2, 2): QP_ONE, (): QP_ONE}
-    assert truncate_first_part(f, 0) == {(): QP_ONE}
-    with pytest.raises(InvalidParametersError):
-        truncate_first_part(f, -1)
+def test_pieri_bound_keeps_the_truncated_terms():
     # a bound inside the Pieri product builds exactly the terms truncation keeps
     for d in range(4):
         for a in range(4):
             g = plethysm_h_h2(d)
             full = pieri_mult(g, a)
             for bound in range(2 * d + a + 2):
-                assert pieri_mult(g, a, bound) == truncate_first_part(full, bound)
+                assert pieri_mult(g, a, bound) == truncated(full, bound)
 
 
 def test_schur_add_sub_shift():

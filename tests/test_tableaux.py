@@ -25,14 +25,14 @@ from involution_harmonics.partitions import (
     syt_count,
 )
 from involution_harmonics.tableaux import (
+    _bump,
+    _rsk_rows,
     _tableau_pair,
     candidate_basis,
     candidate_monomial,
     involution_tableau_pair,
     is_standard_on_content,
     reverse_insert_strip,
-    row_insert,
-    rsk,
     rsk_inverse,
     rsk_symmetric,
     rsk_symmetric_inverse,
@@ -117,14 +117,12 @@ def reference_rsk_inverse(p, q):
     return biletters[::-1]
 
 
-def test_row_insert_bumps():
-    assert row_insert((), 5) == (((5,),), (0, 0))
-    assert row_insert(((1, 3),), 2) == (((1, 2), (3,)), (1, 0))
-    assert row_insert(((1, 2),), 3) == (((1, 2, 3),), (0, 2))
+def as_lists(t):
+    return [list(row) for row in t]
 
 
 def test_reverse_row_insert():
-    # the reference inverts the bumping example above
+    # inserting 2 bumps 3 out of (1, 3); the reference takes it back
     assert reference_reverse_row_insert(((1, 2), (3,)), 1) == (((1, 3),), 2)
     assert reference_reverse_row_insert(((1, 2, 3),), 0) == (((1, 2),), 3)
 
@@ -175,10 +173,10 @@ def test_strip_extraction_round_trips():
                 for t in standard_tableaux(lam):
                     rest, values = reverse_insert_strip(t, Stripe(lam, inner))
                     assert shape(rest) == inner
-                    redone = rest
+                    redone = as_lists(rest)
                     for v in sorted(values):
-                        redone, _ = row_insert(redone, v)
-                    assert redone == t
+                        _bump(redone, v)
+                    assert redone == as_lists(t)
 
 
 def test_transpose_tableau():
@@ -203,7 +201,7 @@ def test_rsk_round_trip_on_permutations():
     for n in range(1, 6):
         for perm in itertools.permutations(range(1, n + 1)):
             biletters = [(i, perm[i - 1]) for i in range(1, n + 1)]
-            p, q = rsk(biletters)
+            p, q = (tuple(map(tuple, rows)) for rows in _rsk_rows(biletters))
             assert is_standard_on_content(p) and is_standard_on_content(q)
             assert shape(p) == shape(q)
             assert rsk_inverse(p, q) == biletters
@@ -212,12 +210,12 @@ def test_rsk_round_trip_on_permutations():
 @given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12))
 def test_rsk_matches_reference_on_multisets(biletters):
     # letters repeat on both lines: general RSK, not only the symmetric case
-    assert rsk(biletters) == reference_rsk(biletters)
-    t = ()
+    assert _rsk_rows(biletters) == tuple(map(as_lists, reference_rsk(biletters)))
+    rows, t = [], ()
     for _, bottom in biletters:
-        inserted = row_insert(t, bottom)
-        assert inserted == reference_row_insert(t, bottom)
-        t = inserted[0]
+        r = _bump(rows, bottom)
+        t, box = reference_row_insert(t, bottom)
+        assert (rows, (r, len(rows[r]) - 1)) == (as_lists(t), box)
 
 
 def test_rsk_inverse_rejects():
@@ -258,6 +256,8 @@ def test_rsk_symmetric_inverse_rejects():
         rsk_symmetric_inverse(((1,),))  # odd column
     with pytest.raises(NotInImageError):
         rsk_symmetric_inverse(((2, 2),))  # not standard on its content
+    with pytest.raises(NotInImageError):
+        rsk_symmetric_inverse(((),))  # an empty row is no tableau row
 
 
 def test_matrix_validation():
