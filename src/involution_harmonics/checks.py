@@ -29,6 +29,7 @@ from .involutions import count_involutions
 from .partitions import Stripe, partitions_of, stripe_inners
 from .schur import qp_at_one, schur_at_one
 from .stripes import (
+    Steps,
     _row_heights,
     _row_width,
     _stripe_from_columns,
@@ -59,25 +60,41 @@ def iter_stripes_up_to(max_size: int) -> Iterator[Stripe]:
 
 
 def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
-    """Three width computations agree (rows, matching, prefix sums); paths reconstruct."""
+    """Three width computations agree (rows, matching, prefix sums); paths reconstruct.
+
+    Many stripes share a step path, so each distinct path's matching, its
+    widths by matching and by prefix sums, and its ascent columns are computed
+    once per call.  Every stripe still gets its own steps, row width (held to
+    the path's width), width range, matched-pair count against its boxes and
+    column reconstruction, so a faulty path gives a line for every stripe on it.
+    """
     if max_size < 0:
         raise InvalidParametersError(f"max_size must be at least 0, got {max_size}")
     failures = []
     count = 0
+    # steps -> (width by matching if prefix sums agree, else None; pair count; ascents)
+    paths: dict[Steps, tuple[int | None, int, frozenset[int]]] = {}
     for s in iter_stripes_up_to(max_size):
         count += 1
         steps = stripe_steps(s)
-        pairs = matched_pairs(steps)
+        path = paths.get(steps)
+        if path is None:
+            pairs = matched_pairs(steps)
+            agreed = width_by_matching(steps, pairs)
+            if agreed != width_by_prefix_sums(steps):
+                agreed = None
+            ascents = frozenset(j for j, step in enumerate(steps, 1) if step == 1)
+            path = paths[steps] = (agreed, len(pairs), ascents)
+        agreed, matched, ascents = path
         boxes = sum(s.outer) - sum(s.inner)
         w = _row_width(s)
-        if not (w == width_by_matching(steps, pairs) == width_by_prefix_sums(steps)):
+        if w != agreed:
             failures.append(f"width mismatch on {s}")
         columns = len(steps)
         if not columns <= w <= columns + 2 * boxes:
             failures.append(f"width {w} out of range on {s}")
-        if len(pairs) != boxes:
+        if matched != boxes:
             failures.append(f"matching misses ascents on {s}")
-        ascents = {j for j, step in enumerate(steps, 1) if step == 1}
         if _stripe_from_columns(s.outer, ascents) != s:
             failures.append(f"column reconstruction fails on {s}")
     lines = failures or [f"{count} stripes with outer size <= {max_size}: widths agree"]

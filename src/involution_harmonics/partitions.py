@@ -47,21 +47,29 @@ def is_even_partition(p: Partition) -> bool:
     return all(x % 2 == 0 for x in p)
 
 
-def is_horizontal_stripe(outer: Partition, inner: Partition) -> bool:
-    """True iff both shapes are partitions with at most one box of outer/inner per column.
+def _interlaces(outer: Partition, inner: Partition) -> bool:
+    """True iff outer[i+1] <= inner[i] <= outer[i] row by row, the parts unchecked.
 
-    That is the row interlacing outer[i+1] <= inner[i] <= outer[i]; inner
-    needs at least len(outer) - 1 rows, since every outer row past the first
-    is positive.  The interlacing makes both shapes weakly decreasing, so they
-    are partitions once their parts are ints (not bools) and their last parts
-    positive.  Every map on stripes gates its domain here.
+    inner needs at least len(outer) - 1 rows, since every outer row past the
+    first is positive, and at most len(outer).  On two partitions this is the
+    horizontal stripe test.
     """
     if not contains(outer, inner) or len(inner) < len(outer) - 1:
         return False
-    if not all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1)):
-        return False
+    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
+
+
+def is_horizontal_stripe(outer: Partition, inner: Partition) -> bool:
+    """True iff both shapes are partitions with at most one box of outer/inner per column.
+
+    That is the row interlacing of `_interlaces`.  The interlacing makes both
+    shapes weakly decreasing, so they are partitions once their parts are
+    ints (not bools) and their last parts positive.  Every map on stripes
+    gates its domain here.
+    """
     return (
-        all(map(_is_int, outer))
+        _interlaces(outer, inner)
+        and all(map(_is_int, outer))
         and all(map(_is_int, inner))
         and (not outer or outer[-1] >= 1)
         and (not inner or inner[-1] >= 1)

@@ -9,7 +9,7 @@ tail is implicit.  `_row_heights` reads the end and lowest heights off the rows.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import AbstractSet, Iterator
 
 from .errors import (
     DomainViolationError,
@@ -58,7 +58,7 @@ def steps_to_string(steps: Steps) -> str:
     return "".join(_STEP_CHARS[s] for s in steps)
 
 
-def _stripe_from_columns(outer: Partition, cols: set[int]) -> Stripe:
+def _stripe_from_columns(outer: Partition, cols: AbstractSet[int]) -> Stripe:
     """The stripe over `outer` whose occupied columns are exactly `cols`.
 
     The columns must be ints in 1..outer[0], as every caller reads them off a

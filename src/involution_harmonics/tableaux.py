@@ -32,6 +32,7 @@ from .involutions import Involution, involution
 from .partitions import (
     Partition,
     Stripe,
+    _interlaces,
     conjugate,
     is_even_partition,
     is_horizontal_stripe,
@@ -256,14 +257,16 @@ def _tableau_pair(w: Involution) -> tuple[list[list[int]], Stripe]:
     """involution_tableau_pair on an involution in involution()'s normal form.
 
     The points of involutions() are built in that form and are not rebuilt.
-    Returns the rows as lists; the symmetric and stripe checks still run.
+    Returns the rows as lists; the symmetric and stripe checks still run.  Both
+    shapes are lengths of non-empty rows, so the stripe check is the row
+    interlacing alone.
     """
     rows = _symmetric_tableau([cell for i, j in w.pairs for cell in ((i, j), (j, i))])
     nu = tuple(map(len, rows))
     for v in w.fixed:
         _bump(rows, v)
     lam = tuple(map(len, rows))
-    if not is_horizontal_stripe(lam, nu):
+    if not _interlaces(lam, nu):
         raise InvariantError(f"inserting the fixed points of {w} gave {lam}/{nu}")
     return rows, Stripe(lam, nu)
 

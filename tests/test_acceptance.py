@@ -12,8 +12,6 @@ from involution_harmonics.bijections import (
     attach_domino,
     detach_domino,
     first_lowest_point,
-    to_nonnegative_stripe,
-    to_width_stripe,
 )
 from involution_harmonics.checks import check_bijections, check_width
 from involution_harmonics.frobenius import (

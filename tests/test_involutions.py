@@ -3,7 +3,6 @@
 import itertools
 import subprocess
 import sys
-from math import factorial
 
 import pytest
 

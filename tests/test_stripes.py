@@ -217,27 +217,51 @@ def test_stripe_from_columns_rejects():
         _stripe_from_columns((2, 2), {1})  # removing column 1 only breaks the shape
 
 
-# the only stripe of outer size <= 4 whose path is N S N
+# the four stripes of outer size <= 6 whose path is N S N, in enumeration
+# order; check_width computes a path's matching and widths once, and a fault
+# there must still show on every stripe of the path
 BROKEN = Stripe((3, 1), (2,))
+ON_BROKEN_PATH = [
+    BROKEN,
+    Stripe((3, 1, 1), (2, 1)),
+    Stripe((3, 2, 1), (2, 2)),
+    Stripe((3, 1, 1, 1), (2, 1, 1)),
+]
 
 
-def assert_width_sweep_fails_once(line, capsys):
-    assert checks.check_width(4) == (False, [line])
-    assert cli.main(["check", "width", "--max-n", "4"]) == 1
-    assert capsys.readouterr().out.splitlines() == [line, "FAIL"]
+def assert_width_sweep_fails_on(kind, stripes, capsys):
+    lines = [f"{kind} on {s}" for s in stripes]
+    assert checks.check_width(6) == (False, lines)
+    assert cli.main(["check", "width", "--max-n", "6"]) == 1
+    assert capsys.readouterr().out.splitlines() == lines + ["FAIL"]
 
 
 @pytest.mark.parametrize("name", ["_row_width", "width_by_matching", "width_by_prefix_sums"])
 def test_check_width_fails_when_one_width_is_off(monkeypatch, capsys, name):
     real = getattr(checks, name)
     # the row form reads the stripe, the other two its steps
-    target = BROKEN if name == "_row_width" else stripe_steps(BROKEN)
+    if name == "_row_width":
+        target, broken = BROKEN, [BROKEN]
+    else:
+        target, broken = stripe_steps(BROKEN), ON_BROKEN_PATH
 
     def off_by_one(arg, *rest):
         return real(arg, *rest) + (arg == target)
 
     monkeypatch.setattr(checks, name, off_by_one)
-    assert_width_sweep_fails_once(f"width mismatch on {BROKEN}", capsys)
+    assert_width_sweep_fails_on("width mismatch", broken, capsys)
+
+
+def test_check_width_fails_when_a_matching_drops_a_pair(monkeypatch, capsys):
+    real = checks.matched_pairs
+
+    def first_pair_dropped(steps):
+        # N S N matches (1, 2) and (3, 4); without (1, 2) its width is still 4
+        pairs = real(steps)
+        return pairs[1:] if steps == stripe_steps(BROKEN) else pairs
+
+    monkeypatch.setattr(checks, "matched_pairs", first_pair_dropped)
+    assert_width_sweep_fails_on("matching misses ascents", ON_BROKEN_PATH, capsys)
 
 
 def test_check_width_fails_when_a_reconstruction_is_wrong(monkeypatch, capsys):
@@ -249,7 +273,7 @@ def test_check_width_fails_when_a_reconstruction_is_wrong(monkeypatch, capsys):
         return Stripe(s.outer, s.outer) if s == BROKEN else s
 
     monkeypatch.setattr(checks, "_stripe_from_columns", wrong)
-    assert_width_sweep_fails_once(f"column reconstruction fails on {BROKEN}", capsys)
+    assert_width_sweep_fails_on("column reconstruction fails", [BROKEN], capsys)
 
 
 @given(st.data())

@@ -335,16 +335,21 @@ BROKEN_RSK = {
 }
 
 
-def run_optimized_with_broken_rsk(call, rows=BROKEN_RSK["unequal"]):
-    """Run `call` under python -O with the RSK rows replaced by `rows`."""
+def run_optimized(patch, call):
+    """Run `call` under python -O after the statement `patch`, tableaux as t."""
     code = (
         "import involution_harmonics.tableaux as t\n"
         "from involution_harmonics.cli import main\n"
         "from involution_harmonics.involutions import involution\n"
-        f"t._rsk_rows = lambda biletters: {rows}\n"
+        f"{patch}\n"
         f"print({call})\n"
     )
     return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
+
+
+def run_optimized_with_broken_rsk(call, rows=BROKEN_RSK["unequal"]):
+    """Run `call` under python -O with the RSK rows replaced by `rows`."""
+    return run_optimized(f"t._rsk_rows = lambda biletters: {rows}", call)
 
 
 def test_involution_tableau_pair_raises_when_optimized_and_rsk_breaks():
@@ -367,6 +372,16 @@ def test_enumerate_involutions_raises_when_optimized_and_rsk_breaks(rows):
     out = run_optimized_with_broken_rsk(call, rows)
     assert out.returncode != 0
     assert "InvariantError" in out.stderr
+
+
+def test_tableau_pair_raises_when_optimized_and_fixed_points_stack():
+    # no pairs, so only the fixed points reach _bump; stacking 1 over 2 gives
+    # the column (1, 1)/(), which is not a horizontal stripe
+    patch = "t._bump = lambda rows, value: rows.append([value]) or len(rows) - 1"
+    out = run_optimized(patch, "t._tableau_pair(involution(2, []))")
+    assert out.returncode != 0
+    assert "InvariantError" in out.stderr
+    assert "gave (1, 1)/()" in out.stderr
 
 
 def test_candidate_monomial_values():
