@@ -43,9 +43,9 @@ block and at most one fixed point per block, and they are few when mu has
 few blocks.  The threshold between the two ends minimises the sum of the
 squared row counts.  The graded dimensions are Young's rule at mu = (1^n),
 the sum over lambda of K(lambda, 1^n) * mult_lambda(F_d), from the same
-multiplicities.  `check basis` evaluates the candidates on the (1^n) types;
-their columns are 0/1, and a full rank over GF(2) certifies them before any
-exact elimination.
+multiplicities.  `check basis` evaluates the candidates on the points of the
+locus, listed by `involutions(n, a)`; their columns are 0/1, and a full rank
+over GF(2) certifies them before any exact elimination.
 
 Every list of types, untwisted or twisted, must be as long as its count,
 every rank that is computed must saturate at the number of its point types
@@ -71,6 +71,7 @@ from .errors import (
     _is_int,
     check_locus_params,
 )
+from .involutions import involutions
 from .partitions import Partition, conjugate, horizontal_strips_over, partitions_of
 from .schur import QPoly, SchurPoly, _add_into, _frozen, qp_normal, schur_terms
 from .tableaux import candidate_basis
@@ -522,7 +523,7 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
     """
     frobenius, hilbert = _oracle(n, a, size_cap)
     top = (n - a) // 2
-    points = matchings_of_size((1,) * n, top)
+    points = involutions(n, a)
     if len(points) != sum(hilbert):
         raise InvariantError(
             f"{len(points)} points of n={n}, a={a} listed, "
@@ -545,21 +546,21 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
     # bit p of a pair's mask is set when point p holds the pair
     masks: dict[tuple[int, int], int] = {}
     for p, point in enumerate(points):
-        for pair, _ in point:
+        for pair in point.pairs:
             masks[pair] = masks.get(pair, 0) | 1 << p
     everywhere = (1 << len(points)) - 1
     columns = []
     for _, monomial in candidates:
         column = everywhere
-        for i, j in monomial:
-            column &= masks.get((i - 1, j - 1), 0)
+        for pair in monomial:
+            column &= masks.get(pair, 0)
         columns.append(column)
     if _gf2_rank(columns) < len(candidates):
-        rows = _rows(points)
         basis: list[tuple[int, Column]] = []
-        for d, monomial in candidates:
-            m = tuple(((i - 1, j - 1), 1) for i, j in monomial)
-            reduced = _reduce_column(_column(m, rows), basis)
+        for (d, monomial), column in zip(candidates, columns):
+            # the bits of the mask, lowest first, as a sparse column of ones
+            bits = bin(column)[:1:-1]
+            reduced = _reduce_column({p: 1 for p, b in enumerate(bits) if b == "1"}, basis)
             if not reduced:
                 failures.append(f"degree {d} monomial {monomial} is dependent")
                 break

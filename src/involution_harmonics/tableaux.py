@@ -7,7 +7,9 @@ module; the public functions take and return tuples of tuples.  The general
 correspondence, `_rsk_rows`, inserts the sorted two-line array of any multiset
 of biletters; the symmetric maps specialize it to the zero-diagonal case,
 where the insertion and recording tableaux coincide and the shape has even
-column lengths.
+column lengths.  Only that case is inverted: a standard tableau is its own
+recording tableau, so `rsk_symmetric_inverse` unbumps its rows directly,
+largest entry first.
 
 In the symmetric maps the rows stay lists from the first insertion to the last
 check and become tuples once, at the end.  Both symmetric invariants, equal
@@ -147,27 +149,6 @@ def _rsk_rows(biletters) -> tuple[list[list[int]], list[list[int]]]:
     return p, q
 
 
-def rsk_inverse(p: Rows, q: Rows) -> list[tuple[int, int]]:
-    """Invert _rsk_rows when the recording tableau is standard on distinct entries."""
-    if shape(p) != shape(q):
-        raise ShapeMismatchError(f"shapes {shape(p)} and {shape(q)} differ")
-    cell = {x: (r, c) for r, row in enumerate(q) for c, x in enumerate(row)}
-    if len(cell) != sum(shape(q)):
-        raise NotInImageError("recording tableau entries must be distinct")
-    lengths = list(shape(q))
-    rows = [list(row) for row in p]
-    biletters = []
-    for value in sorted(cell, reverse=True):
-        r, c = cell[value]
-        if c != lengths[r] - 1:
-            raise NotInImageError(
-                f"recording tableau is not standard: {value} does not end its row"
-            )
-        lengths[r] = c
-        biletters.append((value, _unbump(rows, r)))
-    return biletters[::-1]
-
-
 def _symmetric_ones(matrix) -> frozenset[tuple[int, int]]:
     """Normalize a dense 0/1 matrix or a set of positions; validate symmetry."""
     if isinstance(matrix, (set, frozenset)):
@@ -237,7 +218,11 @@ def rsk_symmetric_inverse(p: Rows) -> frozenset[tuple[int, int]]:
         raise NotInImageError("tableau must be standard on its content")
     if not is_even_partition(conjugate(shape(p))):
         raise NotInImageError(f"shape {shape(p)} has an odd column")
-    ones = frozenset(rsk_inverse(p, p))
+    # p is its own recording tableau: its largest entry x ends a row, and
+    # unbumping that row gives the letter matched with x
+    row_of = {x: r for r, row in enumerate(p) for x in row}
+    rows = [list(row) for row in p]
+    ones = frozenset((x, _unbump(rows, row_of[x])) for x in sorted(row_of, reverse=True))
     if any(i == j or (j, i) not in ones for i, j in ones):
         raise InvariantError(f"preimage of {p} is not symmetric with zero diagonal")
     return ones
@@ -304,8 +289,6 @@ def candidate_monomial(p: Rows, strip: Stripe) -> tuple[tuple[int, int], ...]:
     The result is a sorted tuple of disjoint (i, j) pairs with i < j; its
     length is the degree.
     """
-    if shape(p) != strip.outer:
-        raise ShapeMismatchError(f"tableau shape {shape(p)} is not {strip.outer}")
     rest, _ = reverse_insert_strip(p, strip)
     if not is_even_partition(shape(rest)):
         raise DomainViolationError(f"inner shape {shape(rest)} is not even")

@@ -221,6 +221,22 @@ def test_oracle_raises_when_optimized_and_a_type_list_is_short(twisted, message)
     assert run_optimized(code) == [f"{name} raised: {message}" for name in NAMES]
 
 
+def test_basis_check_raises_when_optimized_and_a_point_is_missing():
+    # the points come from the locus itself, so a short list of them shows
+    # against the graded dimensions the oracle found
+    code = (
+        "import involution_harmonics.oracle as o\n"
+        "from involution_harmonics.errors import InvariantError\n"
+        "real = o.involutions\n"
+        "o.involutions = lambda n, a: real(n, a)[1:]\n"
+        "try:\n"
+        "    o.verify_monomial_basis(4, 0)\n"
+        "except InvariantError as e:\n"
+        "    print(e)\n"
+    )
+    assert run_optimized(code) == ["2 points of n=4, a=0 listed, graded dimensions sum to 3"]
+
+
 def test_oracle_raises_when_optimized_and_the_twisted_rank_falls_short():
     # with every sign zero no twisted column survives
     code = (
