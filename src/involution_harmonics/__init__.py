@@ -17,12 +17,9 @@ from .bijections import (
 )
 from .errors import (
     DomainViolationError,
-    InvalidMatrixError,
     InvalidParametersError,
     InvariantError,
-    NotInImageError,
     ResourceLimitError,
-    ShapeMismatchError,
 )
 from .frobenius import (
     frobenius_total,
@@ -45,14 +42,11 @@ from .tableaux import (
 
 __all__ = [
     "DomainViolationError",
-    "InvalidMatrixError",
     "InvalidParametersError",
     "InvariantError",
     "Involution",
-    "NotInImageError",
     "Partition",
     "ResourceLimitError",
-    "ShapeMismatchError",
     "Stripe",
     "attach_domino",
     "candidate_basis",

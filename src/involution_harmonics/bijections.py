@@ -26,6 +26,7 @@ from .errors import (
 from .partitions import Stripe, is_horizontal_stripe
 from .stripes import (
     Steps,
+    _ascent_columns,
     _row_heights,
     _stripe_from_columns,
     in_nonnegative_family,
@@ -34,10 +35,6 @@ from .stripes import (
     matched_pairs,
     stripe_steps,
 )
-
-
-def _ascent_columns(steps) -> set[int]:
-    return {j for j, step in enumerate(steps, start=1) if step == 1}
 
 
 def _lowest_points(s: Stripe) -> tuple[Steps, int, int]:

@@ -30,6 +30,7 @@ from .partitions import Stripe, partitions_of, stripe_inners
 from .schur import qp_at_one, schur_at_one
 from .stripes import (
     Steps,
+    _ascent_columns,
     _row_heights,
     _row_width,
     _stripe_from_columns,
@@ -83,8 +84,7 @@ def check_width(max_size: int = 12) -> tuple[bool, list[str]]:
             agreed = width_by_matching(steps, pairs)
             if agreed != width_by_prefix_sums(steps):
                 agreed = None
-            ascents = frozenset(j for j, step in enumerate(steps, 1) if step == 1)
-            path = paths[steps] = (agreed, len(pairs), ascents)
+            path = paths[steps] = (agreed, len(pairs), _ascent_columns(steps))
         agreed, matched, ascents = path
         boxes = sum(s.outer) - sum(s.inner)
         w = _row_width(s)

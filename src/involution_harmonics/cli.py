@@ -217,8 +217,7 @@ def _add_locus_args(parser, with_cap=False) -> None:
             "--cap",
             type=int,
             default=None,
-            help="size cap for brute-force computations, at least 1 (default 6, "
-            "or INVOLUTION_ORACLE_MAX_N)",
+            help="size cap for brute-force computations, at least 1 (default 6)",
         )
 
 

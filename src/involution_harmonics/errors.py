@@ -9,18 +9,6 @@ class DomainViolationError(ValueError):
     """An input lies outside the set a map is defined on."""
 
 
-class ShapeMismatchError(ValueError):
-    """Two objects that must agree in shape or size do not."""
-
-
-class NotInImageError(ValueError):
-    """A tableau is not in the image of the symmetric correspondence."""
-
-
-class InvalidMatrixError(ValueError):
-    """A matrix is not symmetric 0/1 with zero diagonal."""
-
-
 class ResourceLimitError(RuntimeError):
     """A brute-force computation exceeds the configured size cap."""
 

@@ -59,7 +59,6 @@ column is divided by its content.
 
 from __future__ import annotations
 
-import os
 from itertools import combinations
 from math import comb, gcd, prod
 from typing import Iterable
@@ -77,7 +76,6 @@ from .schur import QPoly, SchurPoly, _add_into, _frozen, qp_normal, schur_terms
 from .tableaux import candidate_basis
 
 DEFAULT_SIZE_CAP = 6
-SIZE_CAP_ENV = "INVOLUTION_ORACLE_MAX_N"
 
 # An orbit type of partial matchings: ((b, c), pairs joining block b to block c),
 # b <= c, blocks numbered from 0, zero counts left out.
@@ -87,24 +85,15 @@ Matching = tuple[tuple[tuple[int, int], int], ...]
 Column = dict[int, int]
 
 
-def oracle_size_cap(explicit: int | None = None) -> int:
-    """The largest n the brute force will attempt; env override, else 6.
+def oracle_size_cap(cap: int | None = None) -> int:
+    """The largest n the brute force will attempt: the given cap, else 6.
 
     A cap that is not an integer, or is below 1 and would refuse every locus,
     is rejected as a parameter.
     """
-    cap = explicit
     if cap is None:
-        raw = os.environ.get(SIZE_CAP_ENV)
-        if not raw:
-            return DEFAULT_SIZE_CAP
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise InvalidParametersError(
-                f"{SIZE_CAP_ENV} must be an integer, got {raw!r}"
-            ) from None
-    elif not _is_int(cap):
+        return DEFAULT_SIZE_CAP
+    if not _is_int(cap):
         raise InvalidParametersError(f"the oracle size cap must be an integer, got {cap!r}")
     if cap < 1:
         raise InvalidParametersError(f"the oracle size cap must be at least 1, got {cap}")
@@ -450,8 +439,7 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
     cap = oracle_size_cap(size_cap)
     if n > cap:
         raise ResourceLimitError(
-            f"n={n} exceeds the oracle size cap {cap}; raise it explicitly "
-            f"or via {SIZE_CAP_ENV}"
+            f"n={n} exceeds the oracle size cap {cap}; raise it with --cap or size_cap="
         )
     top = (n - a) // 2
     kostka = _kostka_rows(n)

@@ -16,7 +16,6 @@ from .partitions import Partition, even_partitions_of, horizontal_strips_over
 QPoly = tuple[int, ...]
 SchurPoly = dict[Partition, QPoly]
 
-QP_ZERO: QPoly = ()
 QP_ONE: QPoly = (1,)
 
 
@@ -74,15 +73,9 @@ def pieri_mult(f: SchurPoly, a: int, max_first_part: int | None = None) -> Schur
 
 
 def plethysm_h_h2(d: int) -> SchurPoly:
-    """h_d composed with h_2: the multiplicity-free sum of even partitions of 2d.
-
-    d = -1 gives the zero element (the natural base case for the recursions
-    that consume this); smaller d is rejected.
-    """
-    if d < -1:
-        raise InvalidParametersError(f"plethysm degree must be >= -1, got {d}")
-    if d == -1:
-        return {}
+    """h_d composed with h_2: the multiplicity-free sum of even partitions of 2d."""
+    if d < 0:
+        raise InvalidParametersError(f"plethysm degree must be nonnegative, got {d}")
     return {lam: QP_ONE for lam in even_partitions_of(2 * d)}
 
 

@@ -58,6 +58,11 @@ def steps_to_string(steps: Steps) -> str:
     return "".join(_STEP_CHARS[s] for s in steps)
 
 
+def _ascent_columns(steps: Steps) -> frozenset[int]:
+    """The 1-based columns where the stored prefix steps up: the stripe's columns."""
+    return frozenset(j for j, step in enumerate(steps, start=1) if step == 1)
+
+
 def _stripe_from_columns(outer: Partition, cols: AbstractSet[int]) -> Stripe:
     """The stripe over `outer` whose occupied columns are exactly `cols`.
 

@@ -23,13 +23,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cache
 
-from .errors import (
-    DomainViolationError,
-    InvalidMatrixError,
-    InvariantError,
-    NotInImageError,
-    ShapeMismatchError,
-)
+from .errors import DomainViolationError, InvariantError
 from .involutions import Involution, involution
 from .partitions import (
     Partition,
@@ -90,17 +84,18 @@ def _bump(rows: list[list[int]], value: int) -> int:
 def _unbump(rows: list[list[int]], r: int) -> int:
     """Reverse insertion from the end of row r, in place; returns the value bumped out.
 
-    The box must be a removable corner.  Raises NotInImageError when a column
-    does not strictly increase, so that no entry above can take the value back.
+    The box must be a removable corner.  Raises DomainViolationError when a
+    column does not strictly increase, so that no entry above can take the
+    value back.
     """
     if r + 1 < len(rows) and len(rows[r + 1]) >= len(rows[r]):
-        raise ShapeMismatchError(f"row {r} has no removable corner")
+        raise DomainViolationError(f"row {r} has no removable corner")
     v = rows[r].pop()
     for i in range(r - 1, -1, -1):
         row = rows[i]
         k = bisect_left(row, v) - 1  # rightmost entry strictly below v
         if k < 0:
-            raise NotInImageError(f"row {i} has no entry below {v}: not a tableau")
+            raise DomainViolationError(f"row {i} has no entry below {v}: not a tableau")
         row[k], v = v, row[k]
     if not rows[-1]:
         rows.pop()
@@ -117,9 +112,9 @@ def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]
     corner when its turn comes and the result has shape strip.inner.
     """
     if shape(t) != strip.outer:
-        raise ShapeMismatchError(f"tableau shape {shape(t)} is not {strip.outer}")
+        raise DomainViolationError(f"tableau shape {shape(t)} is not {strip.outer}")
     if not is_horizontal_stripe(strip.outer, strip.inner):
-        raise ShapeMismatchError(f"{strip} is not a horizontal stripe")
+        raise DomainViolationError(f"{strip} is not a horizontal stripe")
     inner = strip.inner + (0,) * (len(strip.outer) - len(strip.inner))
     cells = [
         (r, c)
@@ -162,24 +157,24 @@ def _symmetric_ones(matrix) -> frozenset[tuple[int, int]]:
                 and c[0] >= 1
                 and c[1] >= 1
             ):
-                raise InvalidMatrixError("positions must be pairs of positive integers")
+                raise DomainViolationError("positions must be pairs of positive integers")
     else:
         ones = set()
         rows = [tuple(row) for row in matrix]
         if any(len(row) != len(rows) for row in rows):
-            raise InvalidMatrixError("matrix must be square")
+            raise DomainViolationError("matrix must be square")
         for i, row in enumerate(rows):
             for j, entry in enumerate(row):
                 if type(entry) is not int or entry not in (0, 1):
-                    raise InvalidMatrixError(f"entry {entry!r} is not 0 or 1")
+                    raise DomainViolationError(f"entry {entry!r} is not 0 or 1")
                 if entry:
                     ones.add((i + 1, j + 1))
     for i, j in ones:
         if i == j:
-            raise InvalidMatrixError("diagonal must be zero")
+            raise DomainViolationError("diagonal must be zero")
     for i, j in ones:
         if (j, i) not in ones:
-            raise InvalidMatrixError("matrix must be symmetric")
+            raise DomainViolationError("matrix must be symmetric")
     return frozenset(ones)
 
 
@@ -211,13 +206,14 @@ def _symmetric_tableau(ones) -> list[list[int]]:
 def rsk_symmetric_inverse(p: Rows) -> frozenset[tuple[int, int]]:
     """The unique symmetric 0/1 zero-diagonal matrix whose tableau is p.
 
-    Returned as the set of 1-based one-positions.  Raises NotInImageError when
-    some column length of the shape is odd (no zero-diagonal preimage exists).
+    Returned as the set of 1-based one-positions.  Raises DomainViolationError
+    when some column length of the shape is odd (no zero-diagonal preimage
+    exists).
     """
     if not is_standard_on_content(p):
-        raise NotInImageError("tableau must be standard on its content")
+        raise DomainViolationError("tableau must be standard on its content")
     if not is_even_partition(conjugate(shape(p))):
-        raise NotInImageError(f"shape {shape(p)} has an odd column")
+        raise DomainViolationError(f"shape {shape(p)} has an odd column")
     # p is its own recording tableau: its largest entry x ends a row, and
     # unbumping that row gives the letter matched with x
     row_of = {x: r for r, row in enumerate(p) for x in row}

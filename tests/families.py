@@ -16,7 +16,7 @@ from itertools import accumulate
 
 from involution_harmonics.errors import check_degree_params, check_locus_params
 from involution_harmonics.partitions import Stripe, partitions_of
-from involution_harmonics.schur import QP_ZERO, pieri_mult, plethysm_h_h2, qp_normal
+from involution_harmonics.schur import pieri_mult, plethysm_h_h2, qp_normal
 from involution_harmonics.stripes import in_nonnegative_family, width
 
 
@@ -33,12 +33,12 @@ def qp_neg(f):
 
 def qp_shift(f, d):
     """Multiply by q**d."""
-    return (0,) * d + f if f else QP_ZERO
+    return (0,) * d + f if f else ()
 
 
 def accumulate_term(acc, lam, coeff):
     """Add coeff to acc[lam] as a new tuple, dropping the key when it cancels."""
-    total = qp_add(acc.get(lam, QP_ZERO), coeff)
+    total = qp_add(acc.get(lam, ()), coeff)
     if total:
         acc[lam] = total
     else:
@@ -144,5 +144,6 @@ def signed_term(n, a, d):
     """The truncated degree-d difference of consecutive Pieri products."""
     check_locus_params(n, a)
     current = pieri_mult(plethysm_h_h2(d), n - 2 * d)
-    previous = pieri_mult(plethysm_h_h2(d - 1), n - 2 * d + 2)
+    # the degree-0 term has no earlier product to subtract
+    previous = pieri_mult(plethysm_h_h2(d - 1), n - 2 * d + 2) if d else {}
     return truncated(schur_sub(current, previous), n - 2 * d + a)

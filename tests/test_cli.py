@@ -1,24 +1,21 @@
 """End-to-end command line checks via subprocess."""
 
 import json
-import os
+import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 from involution_harmonics.involutions import count_involutions
+from involution_harmonics.oracle import graded_hilbert
 
 
-def run(*args, env_extra=None):
-    env = dict(os.environ)
-    env.pop("INVOLUTION_ORACLE_MAX_N", None)
-    if env_extra:
-        env.update(env_extra)
+def run(*args):
     return subprocess.run(
         [sys.executable, "-m", "involution_harmonics", *args],
         capture_output=True,
         text=True,
-        env=env,
     )
 
 
@@ -58,16 +55,15 @@ def test_parameter_errors_exit_2():
     out = run("grfrob", "--n", "0", "--a", "0")
     assert out.returncode == 2
     # an oracle size cap below 1 is a bad parameter, not an exceeded cap
-    for args, env in [
-        (("hilb", "--n", "4", "--a", "0", "--method", "oracle", "--cap", "-1"), None),
-        (("grfrob", "--n", "4", "--a", "0", "--method", "oracle", "--cap", "0"), None),
-        (("check", "basis", "--n", "4", "--a", "0", "--cap", "-5"), None),
+    for args in [
+        ("hilb", "--n", "4", "--a", "0", "--method", "oracle", "--cap", "-1"),
+        ("grfrob", "--n", "4", "--a", "0", "--method", "oracle", "--cap", "0"),
+        ("check", "basis", "--n", "4", "--a", "0", "--cap", "-5"),
         # the formula methods ignore the cap, but still reject a bad one
-        (("grfrob", "--n", "3", "--a", "1", "--cap", "-5"), None),
-        (("hilb", "--n", "3", "--a", "1", "--cap", "0"), None),
-        (("check", "basis", "--n", "4", "--a", "0"), {"INVOLUTION_ORACLE_MAX_N": "0"}),
+        ("grfrob", "--n", "3", "--a", "1", "--cap", "-5"),
+        ("hilb", "--n", "3", "--a", "1", "--cap", "0"),
     ]:
-        out = run(*args, env_extra=env)
+        out = run(*args)
         assert out.returncode == 2, (args, out.stderr)
         assert out.stderr.startswith("error: the oracle size cap must be at least 1")
 
@@ -75,15 +71,20 @@ def test_parameter_errors_exit_2():
 def test_size_cap_exit_3():
     out = run("hilb", "--n", "7", "--a", "1", "--method", "oracle")
     assert out.returncode == 3
-    assert out.stderr.startswith("error:")
-    # the environment variable tightens the cap
-    out = run("hilb", "--n", "5", "--a", "1", "--method", "oracle",
-              env_extra={"INVOLUTION_ORACLE_MAX_N": "4"})
-    assert out.returncode == 3
-    # an explicit cap beats it
-    out = run("hilb", "--n", "5", "--a", "1", "--method", "oracle", "--cap", "5",
-              env_extra={"INVOLUTION_ORACLE_MAX_N": "4"})
-    assert out.returncode == 0
+    assert out.stderr == (
+        "error: n=7 exceeds the oracle size cap 6; raise it with --cap or size_cap=\n"
+    )
+
+
+def test_cap_environment_variable_changes_nothing(monkeypatch):
+    # the cap comes from --cap or size_cap= alone, so a stray variable of
+    # this name, valid or not, changes nothing
+    want = graded_hilbert(4, 0)
+    for raw in ("0", "abc"):
+        monkeypatch.setenv("INVOLUTION_ORACLE_MAX_N", raw)
+        assert graded_hilbert(4, 0) == want
+        out = run("hilb", "--n", "7", "--a", "1", "--method", "oracle")
+        assert out.returncode == 3, out.stderr
 
 
 def test_check_sweeps_pass():
@@ -137,8 +138,31 @@ def test_enumerate_stripes_ascii():
     out = run("enumerate", "stripes", "--n", "4", "--a", "2", "--ascii")
     assert out.returncode == 0
     assert out.stdout == ASCII_EXAMPLE
+
+
+def readme_examples():
+    """(arguments, output) of every `$ invharm` example in README's shell blocks.
+
+    An example's output runs to the next blank line, prompt or fence; an
+    example whose output elides lines with `...` is left out.
+    """
     readme = (Path(__file__).parents[1] / "README.md").read_text()
-    assert "$ invharm enumerate stripes --n 4 --a 2 --ascii\n" + ASCII_EXAMPLE in readme
+    examples = []
+    for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S):
+        for command, output in re.findall(
+            r"^\$ invharm (.*)\n((?:(?!\$ |\n).*\n)*)", block, re.M
+        ):
+            if "...\n" not in output:
+                examples.append((shlex.split(command, comments=True), output))
+    return examples
+
+
+def test_readme_examples_match_the_command_line():
+    examples = readme_examples()
+    assert len(examples) == 5
+    for args, output in examples:
+        out = run(*args)
+        assert (out.returncode, out.stdout) == (0, output), args
 
 
 def test_enumerate_involutions():
@@ -178,13 +202,6 @@ def test_sweeps_that_would_check_nothing_exit_2():
         assert out.returncode == 2, args
         assert out.stdout == ""
         assert out.stderr.startswith("error:")
-
-
-def test_non_integer_cap_environment_exits_2():
-    out = run("hilb", "--n", "4", "--a", "0", "--method", "oracle",
-              env_extra={"INVOLUTION_ORACLE_MAX_N": "abc"})
-    assert out.returncode == 2
-    assert out.stderr.startswith("error:") and "Traceback" not in out.stderr
 
 
 def test_enumerate_stripes_degree_out_of_range_exits_2():

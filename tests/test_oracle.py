@@ -12,10 +12,10 @@ from hypothesis import given, settings, strategies as st
 
 from involution_harmonics import cli, oracle
 from involution_harmonics.errors import (
+    DomainViolationError,
     InvalidParametersError,
     InvariantError,
     ResourceLimitError,
-    ShapeMismatchError,
     check_locus_params,
 )
 from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
@@ -51,7 +51,7 @@ def invariant_ranks(n, a, mu):
     """dim F_d^{S_mu} by exact elimination, after checking n, a and mu."""
     check_locus_params(n, a)
     if sum(mu) != n:
-        raise ShapeMismatchError(f"{mu} is not a composition of {n}")
+        raise DomainViolationError(f"{mu} is not a composition of {n}")
     return _ranks(n, a, mu, matchings_of_size(mu, (n - a) // 2))
 
 
@@ -100,12 +100,9 @@ def test_size_cap():
     assert graded_hilbert(8, 8, size_cap=8) == (1,)  # identity-only locus
 
 
-def test_size_cap_configuration(monkeypatch):
-    monkeypatch.delenv("INVOLUTION_ORACLE_MAX_N", raising=False)
+def test_size_cap_configuration():
     assert oracle_size_cap() == 6
-    monkeypatch.setenv("INVOLUTION_ORACLE_MAX_N", "9")
-    assert oracle_size_cap() == 9
-    assert oracle_size_cap(4) == 4  # explicit beats the environment
+    assert oracle_size_cap(4) == 4
     # a cap below 1 would refuse every locus: a parameter error, not a size limit
     # so would a cap that is not an integer, a bool included
     for cap in (0, -1, "7", 4.5, True):
@@ -113,9 +110,6 @@ def test_size_cap_configuration(monkeypatch):
             graded_hilbert(4, 0, size_cap=cap)
         with pytest.raises(InvalidParametersError):
             verify_monomial_basis(4, 0, size_cap=cap)
-    monkeypatch.setenv("INVOLUTION_ORACLE_MAX_N", "0")
-    with pytest.raises(InvalidParametersError):
-        oracle_graded_frobenius(4, 0)
 
 
 def test_invariant_ranks_values():
@@ -123,7 +117,7 @@ def test_invariant_ranks_values():
     assert invariant_ranks(3, 1, (3,)) == (1, 1)
     assert invariant_ranks(3, 1, (2, 1)) == (1, 2)
     assert invariant_ranks(3, 1, (1, 1, 1)) == (1, 3)
-    with pytest.raises(ShapeMismatchError):
+    with pytest.raises(DomainViolationError):
         invariant_ranks(3, 1, (2,))
 
 

@@ -119,8 +119,24 @@ def test_exported_function_keeps_the_contract(fn, data):
         assert not isinstance(exc, errors.InvariantError), repr(exc)
 
 
+def defined_names(node):
+    """The module-level names a top-level statement defines: def, class or assignment."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {node.name}
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return set()
+    return {sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)}
+
+
 def resolved_references(tree, module):
-    """(module, name) of every name a module's code uses, outside each name's own definition."""
+    """(module, name) of every name a module's code uses, outside each name's own definition.
+
+    An assignment's own targets are its definition, not a use.
+    """
     imported = {
         alias.asname or alias.name: (node.module, alias.name)
         for node in ast.walk(tree)
@@ -129,9 +145,9 @@ def resolved_references(tree, module):
     }
     found = set()
     for node in tree.body:
-        own = getattr(node, "name", None)
+        own = defined_names(node)
         for sub in ast.walk(node):
-            if isinstance(sub, ast.Name) and sub.id != own:
+            if isinstance(sub, ast.Name) and sub.id not in own:
                 found.add(imported.get(sub.id, (module, sub.id)))
             elif isinstance(sub, ast.Attribute):
                 found.add((None, sub.attr))  # module.name: whichever module holds it
@@ -150,12 +166,12 @@ def test_every_definition_has_a_library_caller_or_is_exported():
     for module, tree in trees.items():
         used |= resolved_references(tree, module)
     idle = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items()
         for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-        and node.name not in exports
-        and (module, node.name) not in used
-        and (None, node.name) not in used
+        for name in sorted(defined_names(node))
+        if name not in exports
+        and (module, name) not in used
+        and (None, name) not in used
     ]
     assert idle == []
