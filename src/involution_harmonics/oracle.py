@@ -23,7 +23,8 @@ dim F_d^{S_mu} is an exact integer rank, and Young's rule
 
 recovers every multiplicity, because the Kostka matrix K is unitriangular in
 decreasing lexicographic order.  Its rows are integer, each built from the row
-of mu without its last part by the one Pieri enumerator.
+of mu without its last part by the one Pieri enumerator; each (shape, part)
+strip list is built once per call and shared by every row that needs it.
 
 Full matchings give the indicators of point types, so at the top degree the
 invariants are all functions on the S_mu-orbits of points and dim F_top^{S_mu}
@@ -374,15 +375,21 @@ def _kostka_rows(n: int) -> dict[Partition, dict[Partition, int]]:
     """{mu: {lambda: K(lambda, mu)}} for every mu of n, the Schur expansions of h_mu.
 
     The row of mu is the row of mu without its last part, pushed through the
-    Pieri rule for that part, so each row of a smaller partition is built once.
+    Pieri rule for that part, so each row of a smaller partition is built once,
+    and so is each (shape, part) strip list, which many rows share.
     """
     rows: dict[Partition, dict[Partition, int]] = {(): {(): 1}}
+    strips: dict[tuple[Partition, int], list[Partition]] = {}
 
     def row(mu: Partition) -> dict[Partition, int]:
         if mu not in rows:
             out: dict[Partition, int] = {}
+            part = mu[-1]
             for lam, k in row(mu[:-1]).items():
-                for outer in horizontal_strips_over(lam, mu[-1]):
+                key = (lam, part)
+                if key not in strips:
+                    strips[key] = horizontal_strips_over(lam, part)
+                for outer in strips[key]:
                     out[outer] = out.get(outer, 0) + k
             rows[mu] = out
         return rows[mu]

@@ -115,9 +115,9 @@ def test_criterion_4_bijection_sweeps(capsys):
 def test_criterion_5_oracle_agreement(capsys):
     t0 = perf_counter()
     problems = []
-    for n, a in _valid_params(12):
+    for n, a in _valid_params(13):
         expansion = graded_frobenius_width(n, a)
-        frobenius, hilbert = _oracle(n, a, 12)
+        frobenius, hilbert = _oracle(n, a, 13)
         if hilbert != hilbert_series(expansion):
             problems.append(f"hilbert mismatch at {(n, a)}")
         if frobenius != expansion:
@@ -127,7 +127,7 @@ def test_criterion_5_oracle_agreement(capsys):
     _report(
         capsys, 5, ok,
         f"exact ranks and characters match the formulas for all (n, a) "
-        f"with n <= 12 in {elapsed:.2f}s" + (f"; {problems}" if problems else ""),
+        f"with n <= 13 in {elapsed:.2f}s" + (f"; {problems}" if problems else ""),
     )
 
 

@@ -5,7 +5,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from itertools import accumulate, permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,7 +36,7 @@ from involution_harmonics.oracle import (
     oracle_size_cap,
     verify_monomial_basis,
 )
-from involution_harmonics.partitions import conjugate, partitions_of
+from involution_harmonics.partitions import conjugate, partitions_of, syt_count
 from involution_harmonics.schur import QP_ONE, pieri_mult, qp_normal
 from involution_harmonics.tableaux import candidate_basis
 
@@ -254,9 +254,32 @@ def reference_complete(mu):
 
 
 def test_kostka_rows_match_the_pieri_chain():
+    # h_mu is a product, so the chain fed mu's parts smallest first must give
+    # the same row as the rows built largest first from shared strip lists
     for n in range(1, 10):
         for mu, row in _kostka_rows(n).items():
-            assert row == {lam: c[0] for lam, c in reference_complete(mu).items()}
+            for parts in (mu, mu[::-1]):
+                assert row == {lam: c[0] for lam, c in reference_complete(parts).items()}
+
+
+def dominates(lam, mu):
+    """lam >= mu in dominance order: every prefix sum of lam is at least mu's."""
+    return all(x >= y for x, y in zip(accumulate(lam), accumulate(mu)))
+
+
+def test_kostka_rows_without_the_pieri_enumerator():
+    for n in range(1, 13):
+        rows = _kostka_rows(n)
+        shapes = partitions_of(n)
+        assert tuple(rows) == shapes
+        assert rows[(1,) * n] == {lam: syt_count(lam) for lam in shapes}
+        for mu, row in rows.items():
+            assert row[mu] == 1
+            assert all(k > 0 for k in row.values())
+            assert set(row) == {lam for lam in shapes if dominates(lam, mu)}
+            # h_mu is the character of the permutation module on S_n / S_mu
+            multinomial = factorial(n) // prod(factorial(part) for part in mu)
+            assert sum(k * syt_count(lam) for lam, k in row.items()) == multinomial
 
 
 def test_young_decomposition_rejects_a_negative_multiplicity():
