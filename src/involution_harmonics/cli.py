@@ -44,6 +44,8 @@ from .tableaux import _tableau_pair
 
 
 _UNCAPPED = "no size cap: the cost grows exponentially in n"
+_CAPPED = "at most --cap, else exit 3"
+_ORACLE_CAPPED = f"with --method oracle, {_CAPPED}; the other methods have {_UNCAPPED}"
 
 
 def _dumps(obj) -> str:
@@ -207,10 +209,8 @@ def _cmd_enumerate_involutions(args) -> int:
     return 0
 
 
-def _add_locus_args(parser, with_cap=False) -> None:
-    parser.add_argument(
-        "--n", type=int, required=True, help=None if with_cap else _UNCAPPED
-    )
+def _add_locus_args(parser, n_help=_UNCAPPED, with_cap=False) -> None:
+    parser.add_argument("--n", type=int, required=True, help=n_help)
     parser.add_argument("--a", type=int, required=True)
     if with_cap:
         parser.add_argument(
@@ -229,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     grfrob = sub.add_parser("grfrob", help="graded Schur expansion of the locus")
-    _add_locus_args(grfrob, with_cap=True)
+    _add_locus_args(grfrob, _ORACLE_CAPPED, with_cap=True)
     grfrob.add_argument(
         "--method",
         choices=["signed", "positive", "width", "oracle"],
@@ -239,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     grfrob.set_defaults(func=_cmd_grfrob)
 
     hilb = sub.add_parser("hilb", help="graded dimension series of the locus")
-    _add_locus_args(hilb, with_cap=True)
+    _add_locus_args(hilb, _ORACLE_CAPPED, with_cap=True)
     hilb.add_argument("--method", choices=["formula", "oracle"], default="formula")
     hilb.add_argument("--format", choices=["text", "json"], default="text")
     hilb.set_defaults(func=_cmd_hilb)
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sweep_parser.set_defaults(func=_cmd_check_sweep, sweep=sweep)
     basis = check_sub.add_parser("basis", help="candidate monomials form a basis")
-    _add_locus_args(basis, with_cap=True)
+    _add_locus_args(basis, _CAPPED, with_cap=True)
     basis.set_defaults(func=_cmd_check_basis)
 
     enum = sub.add_parser("enumerate", help="list stripes or involutions")

@@ -124,6 +124,10 @@ def horizontal_strips_over(
     Returns them in decreasing lexicographic order, optionally keeping only
     those whose first part is at most max_first_part; a negative size or
     bound raises InvalidParametersError.
+
+    A row equal to the row above it cannot grow, so the recursion branches
+    only at corner rows, row 0 and each row shorter than the one above: one
+    level per distinct part, which copies the rest of its run unchanged.
     """
     if size < 0:
         raise InvalidParametersError(f"strip size must be nonnegative, got {size}")
@@ -134,22 +138,23 @@ def horizontal_strips_over(
     if max(first, size) > bound:
         return []
     rows = len(inner)
+    corners = [i for i in range(rows) if i == 0 or inner[i] < inner[i - 1]]
+    ends = corners[1:] + [rows]
     out: list[Partition] = []
-    acc: list[int] = []
 
-    def rec(i: int, remaining: int) -> None:
-        if i == rows:
-            out.append((*acc, remaining) if remaining else tuple(acc))
+    def rec(k: int, remaining: int, prefix: Partition) -> None:
+        if k == len(corners):
+            out.append(prefix + (remaining,) if remaining else prefix)
             return
+        i = corners[k]
         low = inner[i]
         high = min(inner[i - 1] if i else bound, low + remaining)
+        run = inner[i + 1 : ends[k]]
         # the rows below, and a new last row, fit at most inner[i] more boxes
         for part in range(high, max(low, remaining) - 1, -1):
-            acc.append(part)
-            rec(i + 1, remaining - (part - low))
-            acc.pop()
+            rec(k + 1, remaining - (part - low), prefix + (part,) + run)
 
-    rec(0, size)
+    rec(0, size, ())
     return out
 
 

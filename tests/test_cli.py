@@ -1,5 +1,6 @@
 """End-to-end command line checks via subprocess."""
 
+import argparse
 import json
 import re
 import shlex
@@ -7,6 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from involution_harmonics.cli import build_parser
 from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import graded_hilbert
 
@@ -209,3 +211,23 @@ def test_enumerate_stripes_degree_out_of_range_exits_2():
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.startswith("error:")
+
+
+def test_every_size_option_names_its_cap_or_its_growth():
+    def size_helps(parser, command):
+        for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for name, sub in action.choices.items():
+                    yield from size_helps(sub, f"{command} {name}")
+            elif {"--n", "--max-n"} & set(action.option_strings):
+                yield command, action.help or ""
+
+    helps = dict(size_helps(build_parser(), "invharm"))
+    # grfrob, hilb, three sweeps, check basis and two enumerations
+    assert len(helps) == 8
+    for command, help_text in helps.items():
+        assert "--cap" in help_text or "grows exponentially" in help_text, command
+    # only the oracle method is capped; the formula methods are not
+    for command in ("invharm grfrob", "invharm hilb"):
+        assert "--method oracle" in helps[command], command
+        assert "grows exponentially" in helps[command], command

@@ -226,18 +226,23 @@ def test_horizontal_strips_over_rejects_a_negative_size():
 
 
 def test_horizontal_strips_over_is_exhaustive():
-    for m in range(7):
-        for mu in partitions_of(m):
-            for size in range(5):
-                for bound in [None, *range(m + size + 2)]:
-                    got = list(horizontal_strips_over(mu, size, bound))
-                    expected = [
-                        lam
-                        for lam in partitions_of(m + size)
-                        if is_horizontal_stripe(lam, mu)
-                        and (bound is None or (lam[0] if lam else 0) <= bound)
-                    ]
-                    assert got == expected
+    # besides every small inner, the even inners the routes pass and runs of
+    # equal parts, whose rows below the first the recursion copies unbranched
+    inners = [mu for m in range(7) for mu in partitions_of(m)]
+    inners += [mu for m in range(8, 15, 2) for mu in even_partitions_of(m)]
+    inners += [(2,) * k for k in range(8, 11)]
+    inners += [(4, 4, 2, 2, 2), (6, 6, 6, 2, 2, 2, 2), (3, 3, 3, 1, 1, 1, 1), (1,) * 9]
+    for mu in inners:
+        m = sum(mu)
+        for size in range(7):
+            strips = [
+                lam for lam in partitions_of(m + size) if is_horizontal_stripe(lam, mu)
+            ]
+            for bound in [None, *range(m + size + 2)]:
+                got = horizontal_strips_over(mu, size, bound)
+                assert got == [
+                    lam for lam in strips if bound is None or (lam[0] if lam else 0) <= bound
+                ], (mu, size, bound)
 
 
 def test_stripe_inners_is_exhaustive():
