@@ -230,9 +230,11 @@ def _gf2_rank(columns: Iterable[int]) -> int:
 
     Each stored pivot is keyed on its highest set bit, and XOR with it clears
     that bit of a column without setting any higher one.  A full rank mod 2
-    implies a full rank over Q.  On the candidate columns of `check basis`,
-    keying on the highest bit meets far shorter chains of pivots than keying
-    on the lowest.
+    implies a full rank over Q.  The rank does not depend on the column
+    order, but the work does: on the candidate columns of `check basis`,
+    keying on the highest bit and taking the sparse high-degree columns
+    first meets far shorter chains of pivots than keying on the lowest bit
+    or taking the dense low-degree columns first.
     """
     pivots: dict[int, int] = {}
     for v in columns:
@@ -550,7 +552,8 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
         for pair in monomial:
             column &= masks.get(pair, 0)
         columns.append(column)
-    if _gf2_rank(columns) < len(candidates):
+    # highest degree first: the sparse columns become the pivots
+    if _gf2_rank(columns[::-1]) < len(candidates):
         basis: list[tuple[int, Column]] = []
         for (d, monomial), column in zip(candidates, columns):
             # the bits of the mask, lowest first, as a sparse column of ones

@@ -9,6 +9,7 @@ from __future__ import annotations
 from functools import cache
 from itertools import product
 from math import factorial, prod
+from operator import le
 from typing import Iterator, NamedTuple
 
 from .errors import InvalidParametersError, _is_int
@@ -37,12 +38,6 @@ def conjugate(p: Partition) -> Partition:
     return tuple(columns)
 
 
-def contains(outer: Partition, inner: Partition) -> bool:
-    if len(inner) > len(outer):
-        return False
-    return all(inner[i] <= outer[i] for i in range(len(inner)))
-
-
 def is_even_partition(p: Partition) -> bool:
     return all(x % 2 == 0 for x in p)
 
@@ -54,9 +49,9 @@ def _interlaces(outer: Partition, inner: Partition) -> bool:
     first is positive, and at most len(outer).  On two partitions this is the
     horizontal stripe test.
     """
-    if not contains(outer, inner) or len(inner) < len(outer) - 1:
+    if not len(outer) - 1 <= len(inner) <= len(outer):
         return False
-    return all(outer[i + 1] <= inner[i] for i in range(len(outer) - 1))
+    return all(map(le, inner, outer)) and all(map(le, outer[1:], inner))
 
 
 def is_horizontal_stripe(outer: Partition, inner: Partition) -> bool:

@@ -1,15 +1,15 @@
-"""Symmetric RSK on 0/1 matrices, reverse insertion, and the candidate monomial basis.
+"""Symmetric RSK on partial involutions, reverse insertion, and the candidate monomial basis.
 
 Tableaux are tuples of tuples of ints, rows weakly increasing left to right,
 columns strictly increasing top to bottom.  Schensted insertion (`_bump`) and
 reverse insertion (`_unbump`) work in place on mutable list rows inside this
-module; the public functions take and return tuples of tuples.  The general
-correspondence, `_rsk_rows`, inserts the sorted two-line array of any multiset
-of biletters; the symmetric maps specialize it to the zero-diagonal case,
-where the insertion and recording tableaux coincide and the shape has even
-column lengths.  Only that case is inverted: a standard tableau is its own
-recording tableau, so `rsk_symmetric_inverse` unbumps its rows directly,
-largest entry first.
+module; the public functions take and return tuples of tuples.  The one
+correspondence is symmetric RSK on partial fixed-point-free involutions:
+`_symmetric_tableau` inserts each matched letter's partner in increasing
+order and records the letter, so the insertion and recording tableaux
+coincide and the shape has even columns.  `rsk_symmetric_inverse` unbumps a
+standard tableau's rows directly, largest entry first; the two maps are
+mutually inverse.
 
 In the symmetric maps the rows stay lists from the first insertion to the last
 check and become tuples once, at the end.  Both symmetric invariants, equal
@@ -127,79 +127,54 @@ def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]
     return tuple(map(tuple, rows)), values
 
 
-def _rsk_rows(biletters) -> tuple[list[list[int]], list[list[int]]]:
-    """Row-insertion correspondence on a multiset of (row, column) biletters.
+def rsk_symmetric(matrix) -> Rows:
+    """Insertion tableau of a partial fixed-point-free involution.
 
-    Returns the insertion and recording rows as lists.  The recording tableau
-    grows by the box each insertion adds, so it keeps the shape of the
-    insertion tableau.
+    The involution is given as `rsk_symmetric_inverse` returns it: the set of
+    1-based one-positions of a symmetric 0/1 zero-diagonal matrix with at most
+    one one per row.  The recording tableau always equals the insertion
+    tableau here, and the zero diagonal forces every column length of the
+    shape to be even.
+    """
+    if not isinstance(matrix, (set, frozenset)):
+        raise DomainViolationError(
+            f"matrix must be the set of its 1-based one-positions, not {type(matrix).__name__}"
+        )
+    for c in matrix:
+        if not (isinstance(c, tuple) and len(c) == 2 and all(type(x) is int and x > 0 for x in c)):
+            raise DomainViolationError("positions must be pairs of positive integers")
+    if any(i == j for i, j in matrix):
+        raise DomainViolationError("diagonal must be zero")
+    if any((j, i) not in matrix for i, j in matrix):
+        raise DomainViolationError("matrix must be symmetric")
+    partner = dict(matrix)
+    if len(partner) < len(matrix):
+        letter = next(i for i, j in matrix if partner[i] != j)
+        raise DomainViolationError(f"letter {letter} is matched twice")
+    return tuple(map(tuple, _symmetric_tableau(partner)))
+
+
+def _symmetric_tableau(partner: dict[int, int]) -> list[list[int]]:
+    """rsk_symmetric on the word of a partial involution: letter -> partner.
+
+    The unmatched letters are left out of the dict, so its size does not
+    grow with the largest letter.  Row-inserts partner[t] for each matched
+    letter t in increasing order and records t in the row that grew.
+    Returns the insertion rows as lists, for the caller to convert or extend.
     """
     p: list[list[int]] = []
     q: list[list[int]] = []
-    for top, bottom in sorted(biletters):
-        r = _bump(p, bottom)
+    for t in sorted(partner):
+        r = _bump(p, partner[t])
         if r == len(q):
             q.append([])
-        q[r].append(top)
-    return p, q
-
-
-def _symmetric_ones(matrix) -> frozenset[tuple[int, int]]:
-    """Normalize a dense 0/1 matrix or a set of positions; validate symmetry."""
-    if isinstance(matrix, (set, frozenset)):
-        ones = set(matrix)
-        for c in ones:
-            if not (
-                isinstance(c, tuple)
-                and len(c) == 2
-                and type(c[0]) is int
-                and type(c[1]) is int
-                and c[0] >= 1
-                and c[1] >= 1
-            ):
-                raise DomainViolationError("positions must be pairs of positive integers")
-    else:
-        ones = set()
-        rows = [tuple(row) for row in matrix]
-        if any(len(row) != len(rows) for row in rows):
-            raise DomainViolationError("matrix must be square")
-        for i, row in enumerate(rows):
-            for j, entry in enumerate(row):
-                if type(entry) is not int or entry not in (0, 1):
-                    raise DomainViolationError(f"entry {entry!r} is not 0 or 1")
-                if entry:
-                    ones.add((i + 1, j + 1))
-    for i, j in ones:
-        if i == j:
-            raise DomainViolationError("diagonal must be zero")
-    for i, j in ones:
-        if (j, i) not in ones:
-            raise DomainViolationError("matrix must be symmetric")
-    return frozenset(ones)
-
-
-def rsk_symmetric(matrix) -> Rows:
-    """Insertion tableau of a symmetric 0/1 zero-diagonal matrix.
-
-    Accepts a dense square matrix or a set of 1-based positions.  The
-    recording tableau always equals the insertion tableau here, and the zero
-    diagonal forces every column length of the shape to be even.
-    """
-    return tuple(map(tuple, _symmetric_tableau(_symmetric_ones(matrix))))
-
-
-def _symmetric_tableau(ones) -> list[list[int]]:
-    """rsk_symmetric on positions already known to be symmetric, zero-diagonal.
-
-    Returns the insertion rows as lists, for the caller to convert or extend.
-    """
-    p, q = _rsk_rows(ones)
+        q[r].append(t)
     if p != q:
-        raise InvariantError(f"symmetric matrix gave insertion {p}, recording {q}")
+        raise InvariantError(f"partial involution gave insertion {p}, recording {q}")
     lengths = tuple(map(len, p))
     # every column is even exactly when the rows come in equal pairs
     if lengths[::2] != lengths[1::2]:
-        raise InvariantError(f"zero-diagonal matrix gave odd-column shape {lengths}")
+        raise InvariantError(f"partial involution gave odd-column shape {lengths}")
     return p
 
 
@@ -242,7 +217,10 @@ def _tableau_pair(w: Involution) -> tuple[list[list[int]], Stripe]:
     shapes are lengths of non-empty rows, so the stripe check is the row
     interlacing alone.
     """
-    rows = _symmetric_tableau([cell for i, j in w.pairs for cell in ((i, j), (j, i))])
+    partner = {}
+    for i, j in w.pairs:
+        partner[i], partner[j] = j, i
+    rows = _symmetric_tableau(partner)
     nu = tuple(map(len, rows))
     for v in w.fixed:
         _bump(rows, v)

@@ -345,6 +345,33 @@ def test_full_gf2_rank_is_full_rational_rank(data):
         assert fraction_rank(columns) == len(columns)
 
 
+@given(st.data())
+def test_gf2_rank_is_the_span_dimension_in_any_column_order(data):
+    height = data.draw(st.integers(1, 8))
+    masks = data.draw(st.lists(st.integers(0, (1 << height) - 1), max_size=height + 2))
+    rank = _gf2_rank(masks)
+    assert _gf2_rank(masks[::-1]) == _gf2_rank(data.draw(st.permutations(masks))) == rank
+    span = {0}
+    for m in masks:
+        span |= {x ^ m for x in span}
+    assert len(span) == 1 << rank
+    # the exact rank bounds it from above and is reached when it is full
+    basis = []
+    for m in masks:
+        reduced = _reduce_column({p: 1 for p in range(height) if m >> p & 1}, basis)
+        if reduced:
+            basis.append((min(reduced), reduced))
+    assert rank <= len(basis)
+    if rank == len(masks):
+        assert len(basis) == rank
+
+
+def test_gf2_rank_can_fall_short_of_the_exact_rank():
+    # 011 + 110 + 101 = 0 mod 2, while the three columns are independent over Q
+    assert _gf2_rank([0b011, 0b110, 0b101]) == 2
+    assert fraction_rank([[1, 1, 0], [0, 1, 1], [1, 0, 1]]) == 3
+
+
 def test_short_gf2_rank_gives_the_same_report(monkeypatch):
     # the exact elimination then decides, and finds no dependent candidate
     reports = {(n, a): verify_monomial_basis(n, a, size_cap=7) for n, a in valid_params(7)}

@@ -8,8 +8,8 @@ from hypothesis import given, strategies as st
 from involution_harmonics.errors import InvalidParametersError
 from involution_harmonics.partitions import (
     Partition,
+    _interlaces,
     conjugate,
-    contains,
     even_partitions_of,
     horizontal_strips_over,
     is_even_partition,
@@ -41,11 +41,23 @@ def conjugate_by_column_counts(p: Partition) -> Partition:
 
 
 def is_horizontal_stripe_by_columns(outer: Partition, inner: Partition) -> bool:
-    """Reference stripe test: every column of outer keeps all but at most one box."""
-    if not contains(outer, inner):
-        return False
+    """Reference stripe test: every column of outer keeps all but at most one box.
+
+    Columns of inner past the last column of outer do not fit inside it.
+    """
     oc, ic = conjugate_by_column_counts(outer), conjugate_by_column_counts(inner)
-    return all(oc[j] - (ic[j] if j < len(ic) else 0) <= 1 for j in range(len(oc)))
+    if len(ic) > len(oc):
+        return False
+    return all(0 <= oc[j] - (ic[j] if j < len(ic) else 0) <= 1 for j in range(len(oc)))
+
+
+def interlaces_by_padding(outer, inner) -> bool:
+    """Reference row interlacing: outer[i+1] <= inner[i] <= outer[i], both padded with zeros."""
+    if len(inner) > len(outer):
+        return False
+    o = tuple(outer) + (0,)
+    i = tuple(inner) + (0,) * (len(outer) - len(inner))
+    return all(o[r + 1] <= i[r] <= o[r] for r in range(len(outer)))
 
 
 partition_st = st.lists(st.integers(1, 10), max_size=7).map(
@@ -171,18 +183,20 @@ def test_syt_squares_sum_to_factorial(n):
 
 def test_horizontal_stripe_matches_interlacing():
     # one box per column is the same as mu_i >= lam_{i+1} row interlacing;
-    # every containing pair, stripe or not, meets the column-count reference
+    # every pair of partitions, stripe or not, meets the column-count reference
     for n in range(15):
         for lam in partitions_of(n):
             for m in range(n + 1):
                 for mu in partitions_of(m):
-                    interlaced = contains(lam, mu) and all(
-                        lam[i + 1] <= (mu[i] if i < len(mu) else 0)
-                        for i in range(len(lam) - 1)
-                    )
+                    interlaced = interlaces_by_padding(lam, mu)
                     assert is_horizontal_stripe(lam, mu) == interlaced
-                    if contains(lam, mu):
-                        assert interlaced == is_horizontal_stripe_by_columns(lam, mu)
+                    assert interlaced == is_horizontal_stripe_by_columns(lam, mu)
+
+
+@given(st.lists(st.integers(1, 6), max_size=5), st.lists(st.integers(1, 6), max_size=5))
+def test_interlaces_matches_the_padded_reference(outer, inner):
+    # positive parts in any order: the row test alone, without the partition check
+    assert _interlaces(tuple(outer), tuple(inner)) == interlaces_by_padding(outer, inner)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Row insertion, symmetric RSK, and the candidate monomial basis."""
 
-import itertools
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
@@ -21,7 +20,7 @@ from involution_harmonics.partitions import (
 )
 from involution_harmonics.tableaux import (
     _bump,
-    _rsk_rows,
+    _symmetric_tableau,
     _tableau_pair,
     _unbump,
     candidate_basis,
@@ -191,23 +190,28 @@ def test_standard_tableaux_counts():
             assert all(shape(t) == lam for t in fillings)
 
 
-def test_rsk_on_permutations_gives_standard_tableaux_of_one_shape():
-    for n in range(1, 6):
-        for perm in itertools.permutations(range(1, n + 1)):
-            biletters = [(i, perm[i - 1]) for i in range(1, n + 1)]
-            p, q = (tuple(map(tuple, rows)) for rows in _rsk_rows(biletters))
-            assert is_standard_on_content(p) and is_standard_on_content(q)
-            assert shape(p) == shape(q)
+def partial_involutions(max_letters):
+    """Every partial fixed-point-free involution on 1..max_letters, as position sets."""
+    for a in range(max_letters % 2, max_letters + 1, 2):
+        for w in involutions(max_letters, a):
+            yield frozenset(c for i, j in w.pairs for c in ((i, j), (j, i)))
 
 
-@given(st.lists(st.tuples(st.integers(1, 5), st.integers(1, 5)), max_size=12))
-def test_rsk_matches_reference_on_multisets(biletters):
-    # letters repeat on both lines: general RSK, not only the symmetric case
-    assert _rsk_rows(biletters) == tuple(map(as_lists, reference_rsk(biletters)))
+def test_symmetric_tableau_matches_reference_rsk():
+    # the biletters of a partial involution, one per matched letter
+    for ones in partial_involutions(8):
+        p, q = reference_rsk(ones)
+        assert p == q
+        assert _symmetric_tableau(dict(ones)) == as_lists(p)
+
+
+@given(st.lists(st.integers(1, 5), max_size=12))
+def test_bump_matches_reference_on_multisets(letters):
+    # letters repeat: Schensted insertion in general, not only on involutions
     rows, t = [], ()
-    for _, bottom in biletters:
-        r = _bump(rows, bottom)
-        t, box = reference_row_insert(t, bottom)
+    for letter in letters:
+        r = _bump(rows, letter)
+        t, box = reference_row_insert(t, letter)
         assert (rows, (r, len(rows[r]) - 1)) == (as_lists(t), box)
 
 
@@ -223,19 +227,24 @@ def test_unbump_rejects():
 def test_rsk_symmetric_values():
     assert rsk_symmetric({(1, 2), (2, 1)}) == ((1,), (2,))
     assert rsk_symmetric({(1, 3), (3, 1), (2, 4), (4, 2)}) == ((1, 2), (3, 4))
-    # dense form agrees with the position-set form
-    assert rsk_symmetric([[0, 1], [1, 0]]) == ((1,), (2,))
+    assert rsk_symmetric(frozenset()) == ()
+    # the word holds matched letters only, so a large letter costs nothing
+    assert rsk_symmetric({(1, 10**12), (10**12, 1)}) == ((1,), (10**12,))
 
 
-def test_rsk_symmetric_round_trip():
-    # all symmetric 0/1 zero-diagonal matrices drawn from matchings on 1..8
-    for n, a in [(4, 0), (6, 2), (8, 4), (8, 0)]:
-        for w in involutions(n, a):
-            ones = frozenset(c for i, j in w.pairs for c in ((i, j), (j, i)))
-            p = rsk_symmetric(ones)
-            assert is_standard_on_content(p)
-            assert is_even_partition(conjugate(shape(p)))
-            assert rsk_symmetric_inverse(p) == ones
+def test_rsk_symmetric_and_its_inverse_are_mutually_inverse():
+    # every partial fixed-point-free involution on at most 8 letters ...
+    for ones in partial_involutions(8):
+        p = rsk_symmetric(ones)
+        assert is_standard_on_content(p)
+        assert is_even_partition(conjugate(shape(p)))
+        assert rsk_symmetric_inverse(p) == ones
+    # ... and every standard tableau of size <= 8 with even columns
+    for n in range(0, 9, 2):
+        for lam in partitions_of(n):
+            if is_even_partition(conjugate(lam)):
+                for p in standard_tableaux(lam):
+                    assert rsk_symmetric(rsk_symmetric_inverse(p)) == p
 
 
 def test_rsk_symmetric_inverse_rejects():
@@ -248,18 +257,18 @@ def test_rsk_symmetric_inverse_rejects():
 
 
 def test_matrix_validation():
-    with pytest.raises(DomainViolationError):
-        rsk_symmetric([[0, 1]])  # not square
-    with pytest.raises(DomainViolationError):
-        rsk_symmetric([[0, 2], [2, 0]])  # entries outside 0/1
-    with pytest.raises(DomainViolationError, match="is not 0 or 1"):
-        rsk_symmetric([[0, 1.0], [True, 0]])  # a float is not an entry
-    with pytest.raises(DomainViolationError, match="is not 0 or 1"):
-        rsk_symmetric([[0, True], [True, 0]])  # nor is a bool
-    with pytest.raises(DomainViolationError):
-        rsk_symmetric([[1]])  # diagonal one
-    with pytest.raises(DomainViolationError):
-        rsk_symmetric({(1, 2)})  # not symmetric
+    # a dense matrix is outside the domain, symmetric 0/1 or not
+    message = "^matrix must be the set of its 1-based one-positions, not list$"
+    with pytest.raises(DomainViolationError, match=message):
+        rsk_symmetric([[0, 1], [1, 0]])
+    # a letter matched twice: general RSK would give ((1, 1), (2, 3)), which
+    # is not standard and has no preimage
+    with pytest.raises(DomainViolationError, match="^letter 1 is matched twice$"):
+        rsk_symmetric({(1, 2), (2, 1), (1, 3), (3, 1)})
+    with pytest.raises(DomainViolationError, match="^diagonal must be zero$"):
+        rsk_symmetric({(1, 1)})
+    with pytest.raises(DomainViolationError, match="^matrix must be symmetric$"):
+        rsk_symmetric({(1, 2)})
     with pytest.raises(DomainViolationError):
         rsk_symmetric({(1, 2, 3)})  # not a position pair
     with pytest.raises(DomainViolationError):
@@ -316,10 +325,16 @@ def test_row_pairs_test_matches_even_columns():
             assert (p[::2] == p[1::2]) == is_even_partition(conjugate(p))
 
 
-BROKEN_RSK = {
-    "unequal": "([[1], [2]], [[1, 2]])",
-    "odd_columns": "([[1, 2]], [[1, 2]])",
+# _bump replacements that break one symmetric invariant each on the pair (1, 2):
+# stacking every value gives insertion [[2], [1]] against recording [[1], [2]];
+# appending 1, 2, ... to the first row gives equal rows of odd-column shape (2,)
+BROKEN_BUMP = {
+    "unequal": "lambda rows, value: rows.append([value]) or len(rows) - 1",
+    "odd_columns": (
+        "lambda rows, value: (rows[0].append(len(rows[0]) + 1) if rows else rows.append([1])) or 0"
+    ),
 }
+CHECK_MESSAGE = {"unequal": "gave insertion", "odd_columns": "gave odd-column shape"}
 
 
 def run_optimized(patch, call):
@@ -334,38 +349,41 @@ def run_optimized(patch, call):
     return subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True)
 
 
-def run_optimized_with_broken_rsk(call, rows=BROKEN_RSK["unequal"]):
-    """Run `call` under python -O with the RSK rows replaced by `rows`."""
-    return run_optimized(f"t._rsk_rows = lambda biletters: {rows}", call)
+def run_optimized_with_broken_bump(call, broken="unequal"):
+    """Run `call` under python -O with _bump replaced by BROKEN_BUMP[broken]."""
+    return run_optimized(f"t._bump = {BROKEN_BUMP[broken]}", call)
 
 
 def test_involution_tableau_pair_raises_when_optimized_and_rsk_breaks():
     # asserts vanish under -O; the symmetry check must not
-    out = run_optimized_with_broken_rsk("t.involution_tableau_pair(involution(2, [(1, 2)]))")
+    out = run_optimized_with_broken_bump("t.involution_tableau_pair(involution(2, [(1, 2)]))")
     assert out.returncode != 0
     assert "InvariantError" in out.stderr
+    assert CHECK_MESSAGE["unequal"] in out.stderr
 
 
-def test_rsk_symmetric_raises_when_optimized_and_rsk_breaks():
-    out = run_optimized_with_broken_rsk("t.rsk_symmetric({(1, 2), (2, 1)})")
+@pytest.mark.parametrize("broken", BROKEN_BUMP)
+def test_rsk_symmetric_raises_when_optimized_and_rsk_breaks(broken):
+    out = run_optimized_with_broken_bump("t.rsk_symmetric({(1, 2), (2, 1)})", broken)
     assert out.returncode != 0
     assert "InvariantError" in out.stderr
+    assert CHECK_MESSAGE[broken] in out.stderr
 
 
-@pytest.mark.parametrize("rows", BROKEN_RSK.values(), ids=BROKEN_RSK.keys())
-def test_enumerate_involutions_raises_when_optimized_and_rsk_breaks(rows):
+@pytest.mark.parametrize("broken", BROKEN_BUMP)
+def test_enumerate_involutions_raises_when_optimized_and_rsk_breaks(broken):
     # the CLI's trusted path keeps both symmetric checks
     call = "main(['enumerate', 'involutions', '--n', '2', '--a', '0'])"
-    out = run_optimized_with_broken_rsk(call, rows)
+    out = run_optimized_with_broken_bump(call, broken)
     assert out.returncode != 0
     assert "InvariantError" in out.stderr
+    assert CHECK_MESSAGE[broken] in out.stderr
 
 
 def test_tableau_pair_raises_when_optimized_and_fixed_points_stack():
     # no pairs, so only the fixed points reach _bump; stacking 1 over 2 gives
     # the column (1, 1)/(), which is not a horizontal stripe
-    patch = "t._bump = lambda rows, value: rows.append([value]) or len(rows) - 1"
-    out = run_optimized(patch, "t._tableau_pair(involution(2, []))")
+    out = run_optimized_with_broken_bump("t._tableau_pair(involution(2, []))")
     assert out.returncode != 0
     assert "InvariantError" in out.stderr
     assert "gave (1, 1)/()" in out.stderr
@@ -400,12 +418,3 @@ def test_candidate_basis_counts():
                 letters = [x for pr in pairs for x in pr]
                 assert len(set(letters)) == len(letters)
                 assert all(1 <= i < j <= n for i, j in pairs)
-
-
-@given(st.permutations(tuple(range(1, 9))), st.integers(0, 4))
-def test_rsk_symmetric_round_trip_random(letters, k):
-    # random partial matchings on 1..8
-    pairs = [tuple(sorted(letters[2 * i : 2 * i + 2])) for i in range(k)]
-    ones = frozenset(c for i, j in pairs for c in ((i, j), (j, i)))
-    p = rsk_symmetric(ones)
-    assert rsk_symmetric_inverse(p) == ones
