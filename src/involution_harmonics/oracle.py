@@ -526,7 +526,7 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
             f"{len(points)} points of n={n}, a={a} listed, "
             f"graded dimensions sum to {sum(hilbert)}"
         )
-    candidates = sorted(candidate_basis(n, a), key=lambda dm: dm[0])
+    candidates = candidate_basis(n, a)
     profile = [0] * (top + 1)
     for d, _ in candidates:
         profile[d] += 1

@@ -1,21 +1,20 @@
-"""Symmetric RSK on partial involutions, reverse insertion, and the candidate monomial basis.
+"""Symmetric RSK on partial involutions, its inverse, and the candidate monomial basis.
 
 Tableaux are tuples of tuples of ints, rows weakly increasing left to right,
 columns strictly increasing top to bottom.  Schensted insertion (`_bump`) and
 reverse insertion (`_unbump`) work in place on mutable list rows inside this
 module; the public functions take and return tuples of tuples.  The one
-correspondence is symmetric RSK on partial fixed-point-free involutions:
-`_symmetric_tableau` inserts each matched letter's partner in increasing
-order and records the letter, so the insertion and recording tableaux
-coincide and the shape has even columns.  `rsk_symmetric_inverse` unbumps a
-standard tableau's rows directly, largest entry first; the two maps are
-mutually inverse.
+correspondence is symmetric RSK on partial fixed-point-free involutions, with
+one loop each way, each behind one validating public map.  The insertion loop
+`_symmetric_tableau` (`rsk_symmetric`) inserts each matched letter's partner
+in increasing order and records the letter, so the insertion and recording
+tableaux coincide and the shape has even columns.  The unbump loop
+`_symmetric_ones` (`rsk_symmetric_inverse`, and `candidate_monomial` after it
+pushes out its strip) unbumps a standard tableau's rows, largest entry first.
 
-In the symmetric maps the rows stay lists from the first insertion to the last
-check and become tuples once, at the end.  Both symmetric invariants, equal
-insertion and recording rows and even column lengths, are checked on those
-lists.  They, and the other identities the symmetric maps rely on, are checked
-on every result and raise InvariantError when broken, also under python -O.
+The rows stay lists from the first insertion or unbump to the last check.
+Those checks raise InvariantError when a result breaks an identity these maps
+rely on, also under python -O.
 """
 
 from __future__ import annotations
@@ -29,7 +28,6 @@ from .partitions import (
     Partition,
     Stripe,
     _interlaces,
-    conjugate,
     is_even_partition,
     is_horizontal_stripe,
 )
@@ -40,15 +38,6 @@ Rows = tuple[tuple[int, ...], ...]
 
 def shape(t: Rows) -> Partition:
     return tuple(len(row) for row in t)
-
-
-def transpose_tableau(t: Rows) -> Rows:
-    if not t:
-        return ()
-    return tuple(
-        tuple(t[i][j] for i in range(len(t)) if len(t[i]) > j)
-        for j in range(len(t[0]))
-    )
 
 
 def is_standard_on_content(t: Rows) -> bool:
@@ -100,31 +89,6 @@ def _unbump(rows: list[list[int]], r: int) -> int:
     if not rows[-1]:
         rows.pop()
     return v
-
-
-def reverse_insert_strip(t: Rows, strip: Stripe) -> tuple[Rows, tuple[int, ...]]:
-    """Push an entire horizontal strip back out, rightmost column first.
-
-    Returns the shrunken tableau of shape strip.inner and the extracted values
-    in extraction order.  Re-inserting the values in increasing order restores
-    the original tableau.  Each reverse insertion shortens only its own row,
-    and the strip puts at most one box in a column, so every strip box is a
-    corner when its turn comes and the result has shape strip.inner.
-    """
-    if shape(t) != strip.outer:
-        raise DomainViolationError(f"tableau shape {shape(t)} is not {strip.outer}")
-    if not is_horizontal_stripe(strip.outer, strip.inner):
-        raise DomainViolationError(f"{strip} is not a horizontal stripe")
-    inner = strip.inner + (0,) * (len(strip.outer) - len(strip.inner))
-    cells = [
-        (r, c)
-        for r, row_len in enumerate(strip.outer)
-        for c in range(inner[r] + 1, row_len + 1)
-    ]
-    cells.sort(key=lambda rc: -rc[1])
-    rows = [list(row) for row in t]
-    values = tuple(_unbump(rows, r) for r, _ in cells)
-    return tuple(map(tuple, rows)), values
 
 
 def rsk_symmetric(matrix) -> Rows:
@@ -187,15 +151,23 @@ def rsk_symmetric_inverse(p: Rows) -> frozenset[tuple[int, int]]:
     """
     if not is_standard_on_content(p):
         raise DomainViolationError("tableau must be standard on its content")
-    if not is_even_partition(conjugate(shape(p))):
-        raise DomainViolationError(f"shape {shape(p)} has an odd column")
-    # p is its own recording tableau: its largest entry x ends a row, and
-    # unbumping that row gives the letter matched with x
-    row_of = {x: r for r, row in enumerate(p) for x in row}
-    rows = [list(row) for row in p]
+    lengths = shape(p)
+    # every column is even exactly when the rows come in equal pairs
+    if lengths[::2] != lengths[1::2]:
+        raise DomainViolationError(f"shape {lengths} has an odd column")
+    return _symmetric_ones([list(row) for row in p])
+
+
+def _symmetric_ones(rows: list[list[int]]) -> frozenset[tuple[int, int]]:
+    """rsk_symmetric_inverse on standard rows with even columns, emptied in place.
+
+    The rows are their own recording tableau: the largest entry x ends a row,
+    and unbumping that row gives the letter matched with x.
+    """
+    row_of = {x: r for r, row in enumerate(rows) for x in row}
     ones = frozenset((x, _unbump(rows, row_of[x])) for x in sorted(row_of, reverse=True))
     if any(i == j or (j, i) not in ones for i, j in ones):
-        raise InvariantError(f"preimage of {p} is not symmetric with zero diagonal")
+        raise InvariantError(f"preimage {sorted(ones)} is not symmetric with zero diagonal")
     return ones
 
 
@@ -258,15 +230,29 @@ def standard_tableaux(p: Partition) -> tuple[Rows, ...]:
 def candidate_monomial(p: Rows, strip: Stripe) -> tuple[tuple[int, int], ...]:
     """The matching monomial attached to a standard tableau and an index stripe.
 
-    Pushes the strip out of p, transposes the remainder (whose shape then has
-    even columns), and reads the matched pairs off the symmetric preimage.
-    The result is a sorted tuple of disjoint (i, j) pairs with i < j; its
-    length is the degree.
+    The domain: p is standard on its content, of shape strip.outer, and strip
+    is a horizontal stripe with an even inner shape.  Pushes the strip out of
+    p, rightmost column first: row 0's boxes lie right of row 1's, and so on,
+    so each is a corner in its turn.  Transposes the remainder, whose shape
+    then has even columns, and reads the matched pairs off its symmetric
+    preimage: a sorted tuple of disjoint (i, j), i < j, one per degree.
     """
-    rest, _ = reverse_insert_strip(p, strip)
-    if not is_even_partition(shape(rest)):
-        raise DomainViolationError(f"inner shape {shape(rest)} is not even")
-    ones = rsk_symmetric_inverse(transpose_tableau(rest))
+    if shape(p) != strip.outer:
+        raise DomainViolationError(f"tableau shape {shape(p)} is not {strip.outer}")
+    if not is_horizontal_stripe(strip.outer, strip.inner):
+        raise DomainViolationError(f"{strip} is not a horizontal stripe")
+    if not is_even_partition(strip.inner):
+        raise DomainViolationError(f"inner shape {strip.inner} is not even")
+    if not is_standard_on_content(p):
+        raise DomainViolationError("tableau must be standard on its content")
+    rows = [list(row) for row in p]
+    inner = strip.inner + (0,) * (len(strip.outer) - len(strip.inner))
+    for r, row_len in enumerate(strip.outer):
+        for _ in range(row_len - inner[r]):
+            _unbump(rows, r)
+    width = len(rows[0]) if rows else 0
+    columns = [[row[c] for row in rows if c < len(row)] for c in range(width)]
+    ones = _symmetric_ones(columns)
     pairs = sorted({(min(i, j), max(i, j)) for i, j in ones})
     letters = {x for pr in pairs for x in pr}
     if not len(letters) == 2 * len(pairs) == len(ones):
@@ -275,7 +261,11 @@ def candidate_monomial(p: Rows, strip: Stripe) -> tuple[tuple[int, int], ...]:
 
 
 def candidate_basis(n: int, a: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
-    """Every (degree, monomial) the stripe indexing produces, deterministic order."""
+    """Every (degree, monomial) the stripe indexing produces, ascending degree.
+
+    The order is that of positive_stripes(n, a), which yields the degrees in
+    ascending order, and within a stripe that of standard_tableaux.
+    """
     return [
         (d, candidate_monomial(p, s))
         for s, d in positive_stripes(n, a)

@@ -27,12 +27,10 @@ from involution_harmonics.tableaux import (
     candidate_monomial,
     involution_tableau_pair,
     is_standard_on_content,
-    reverse_insert_strip,
     rsk_symmetric,
     rsk_symmetric_inverse,
     shape,
     standard_tableaux,
-    transpose_tableau,
 )
 
 
@@ -111,6 +109,17 @@ def reference_rsk_inverse(p, q):
     return biletters[::-1]
 
 
+def reference_transpose(t):
+    return tuple(tuple(row[j] for row in t if len(row) > j) for j in range(len(t[0]) if t else 0))
+
+
+def reference_candidate_monomial(t, strip):
+    """The strip pushed out, the rest transposed, and its symmetric preimage read as pairs."""
+    rest, _ = reference_reverse_insert_strip(t, strip)
+    rest = reference_transpose(rest)
+    return tuple(sorted((i, j) for i, j in reference_rsk_inverse(rest, rest) if i < j))
+
+
 def as_lists(t):
     return [list(row) for row in t]
 
@@ -122,62 +131,47 @@ def test_reverse_row_insert():
 
 
 def test_reverse_insertion_matches_the_reference():
-    # every standard tableau of size <= 8 with every stripe under it, and the
-    # symmetric inverse of every one whose columns are even
-    for n in range(1, 9):
+    # the symmetric inverse of every standard tableau of size <= 8 with even columns
+    for n in range(2, 9, 2):
         for lam in partitions_of(n):
-            fillings = standard_tableaux(lam)
-            for inner in stripe_inners(lam):
-                strip = Stripe(lam, inner)
-                for t in fillings:
-                    assert reverse_insert_strip(t, strip) == (
-                        reference_reverse_insert_strip(t, strip)
-                    )
             if is_even_partition(conjugate(lam)):
-                for p in fillings:
+                for p in standard_tableaux(lam):
                     assert rsk_symmetric_inverse(p) == frozenset(reference_rsk_inverse(p, p))
 
 
-def test_reverse_insert_strip_values():
-    assert reverse_insert_strip(((1, 2),), Stripe((2,), ())) == ((), (2, 1))
-    assert reverse_insert_strip(((1, 2), (3, 4)), Stripe((2, 2), (2,))) == (
-        ((3, 4),),
-        (2, 1),
-    )
-    assert reverse_insert_strip(((1, 3), (2, 4)), Stripe((2, 2), (2,))) == (
-        ((2, 4),),
-        (3, 1),
-    )
-
-
-def test_reverse_insert_strip_rejects():
-    with pytest.raises(DomainViolationError):
-        reverse_insert_strip(((1, 2),), Stripe((3,), (1,)))
-    with pytest.raises(DomainViolationError):
-        reverse_insert_strip(((1, 2), (3, 4)), Stripe((2, 2), ()))
-
-
-def test_strip_extraction_round_trips():
-    # pushing a horizontal strip out and re-inserting its values in
-    # increasing order restores the tableau
-    for n in range(1, 7):
+def test_candidate_monomial_matches_the_reference():
+    # every standard tableau of size <= 8 with every stripe under it
+    for n in range(1, 9):
         for lam in partitions_of(n):
             for inner in stripe_inners(lam):
+                strip = Stripe(lam, inner)
                 for t in standard_tableaux(lam):
-                    rest, values = reverse_insert_strip(t, Stripe(lam, inner))
-                    assert shape(rest) == inner
-                    redone = as_lists(rest)
-                    for v in sorted(values):
-                        _bump(redone, v)
-                    assert redone == as_lists(t)
+                    if is_even_partition(inner):
+                        assert candidate_monomial(t, strip) == (
+                            reference_candidate_monomial(t, strip)
+                        )
+                    else:
+                        with pytest.raises(DomainViolationError, match="is not even$"):
+                            candidate_monomial(t, strip)
 
 
-def test_transpose_tableau():
-    assert transpose_tableau(((1, 2), (3,))) == ((1, 3), (2,))
-    for lam in partitions_of(5):
-        for t in standard_tableaux(lam):
-            assert transpose_tableau(transpose_tableau(t)) == t
-            assert shape(transpose_tableau(t)) == conjugate(lam)
+def test_candidate_monomial_inverts_the_transposed_insertion():
+    # inserting the pairs symmetrically and transposing rebuilds what is left
+    # once the strip is out; the other letters, inserted in increasing order,
+    # restore the tableau, and the two shapes form the stripe
+    for n in range(1, 8):
+        for lam in partitions_of(n):
+            for inner in stripe_inners(lam):
+                if not is_even_partition(inner):
+                    continue
+                for t in standard_tableaux(lam):
+                    pairs = candidate_monomial(t, Stripe(lam, inner))
+                    partner = {i: j for pr in pairs for i, j in (pr, pr[::-1])}
+                    rows = as_lists(reference_transpose(_symmetric_tableau(partner)))
+                    assert shape(rows) == inner
+                    for v in sorted({x for row in t for x in row} - set(partner)):
+                        _bump(rows, v)
+                    assert rows == as_lists(t)
 
 
 def test_standard_tableaux_counts():
@@ -389,6 +383,25 @@ def test_tableau_pair_raises_when_optimized_and_fixed_points_stack():
     assert "gave (1, 1)/()" in out.stderr
 
 
+# an _unbump that pops the box and returns it, so every letter is matched with itself
+BROKEN_UNBUMP = "t._unbump = lambda rows, r: rows[r].pop()"
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        "t.rsk_symmetric_inverse(((1,), (2,)))",
+        "t.candidate_monomial(((1, 2), (3, 4)), t.Stripe((2, 2), (2,)))",
+    ],
+)
+def test_unbump_loop_raises_when_optimized_and_unbump_breaks(call):
+    # both maps read the matching through _symmetric_ones, whose check survives -O
+    out = run_optimized(BROKEN_UNBUMP, call)
+    assert out.returncode != 0
+    assert "InvariantError" in out.stderr
+    assert "is not symmetric with zero diagonal" in out.stderr
+
+
 def test_candidate_monomial_values():
     assert candidate_monomial(((1, 2), (3, 4)), Stripe((2, 2), (2,))) == ((3, 4),)
     assert candidate_monomial(((1, 3), (2, 4)), Stripe((2, 2), (2,))) == ((2, 4),)
@@ -396,10 +409,21 @@ def test_candidate_monomial_values():
 
 
 def test_candidate_monomial_rejects():
-    with pytest.raises(DomainViolationError):
+    with pytest.raises(DomainViolationError, match=r"^tableau shape \(2,\) is not \(3,\)$"):
         candidate_monomial(((1, 2),), Stripe((3,), (1,)))
-    with pytest.raises(DomainViolationError):
-        candidate_monomial(((1, 2, 3),), Stripe((3,), (1,)))  # odd leftover shape
+    with pytest.raises(DomainViolationError, match="is not a horizontal stripe$"):
+        candidate_monomial(((1, 2), (3, 4)), Stripe((2, 2), ()))
+    with pytest.raises(DomainViolationError, match=r"^inner shape \(1,\) is not even$"):
+        candidate_monomial(((1, 2, 3),), Stripe((3,), (1,)))
+    # not standard on their content
+    for p, strip in [
+        (((2, 1),), Stripe((2,), ())),
+        (((1, 2, 4, 3),), Stripe((4,), (2,))),
+        (((1, 2), (4, 3)), Stripe((2, 2), (2,))),
+    ]:
+        message = "^tableau must be standard on its content$"
+        with pytest.raises(DomainViolationError, match=message):
+            candidate_monomial(p, strip)
 
 
 def test_candidate_basis_small():
@@ -412,6 +436,8 @@ def test_candidate_basis_counts():
         for a in range(n % 2, n + 1, 2):
             basis = candidate_basis(n, a)
             assert len(basis) == count_involutions(n, a)
+            degrees = [d for d, _ in basis]
+            assert degrees == sorted(degrees)
             assert len(set(basis)) == len(basis)
             for d, pairs in basis:
                 assert len(pairs) == d
