@@ -33,6 +33,7 @@ from .stripes import (
     in_stripe_family,
     in_width_family,
     matched_pairs,
+    steps_heights,
     stripe_steps,
 )
 
@@ -40,14 +41,9 @@ from .stripes import (
 def _lowest_points(s: Stripe) -> tuple[Steps, int, int]:
     """A horizontal stripe's steps, and the first and last x where its path is lowest."""
     steps = stripe_steps(s)
-    height = low = first = last = 0
-    for x, step in enumerate(steps, start=1):
-        height += step
-        if height < low:
-            low, first, last = height, x, x
-        elif height == low:
-            last = x
-    return steps, first, last
+    heights = steps_heights(steps)
+    low = min(heights)
+    return steps, heights.index(low), len(steps) - heights[::-1].index(low)
 
 
 def detach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:

@@ -41,12 +41,15 @@ omega (e_mu is the sum of K(lambda', mu) s_lambda, Macdonald I.6).  A point
 whose stabilizer in S_mu holds an odd permutation carries no sign-twisted
 function, so the twisted rows are the orbit types with no pair inside a
 block and at most one fixed point per block, and they are few when mu has
-few blocks.  The threshold between the two ends minimises the sum of the
-squared row counts.  The graded dimensions are Young's rule at mu = (1^n),
-the sum over lambda of K(lambda, 1^n) * mult_lambda(F_d), from the same
-multiplicities.  `check basis` evaluates the candidates on the points of the
-locus, listed by `involutions(n, a)`; their columns are 0/1, and a full rank
-over GF(2) certifies them before any exact elimination.
+few blocks.  A twisted column drops at most one pair of each class of a row
+of type P, so its entry is one signed product, +-prod P[k] over the dropped
+classes k, read off P's counts.  The threshold between the two ends
+minimises the sum of the squared row counts.  The graded dimensions are
+Young's rule at mu = (1^n), the sum over lambda of K(lambda, 1^n) *
+mult_lambda(F_d), from the same multiplicities.  `check basis` evaluates the
+candidates on the points of the locus, listed by `involutions(n, a)`; their
+columns are 0/1, and a full rank over GF(2) certifies them before any exact
+elimination.
 
 Every list of types, untwisted or twisted, must be as long as its count,
 every rank that is computed must saturate at the number of its point types
@@ -304,71 +307,52 @@ def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[
     return _saturated(n, a, mu, len(rows), columns, "")
 
 
-def _sign(word: list[int]) -> int:
-    """The sign of a permutation of 0..len(word)-1 given as its list of images."""
-    seen = [False] * len(word)
-    sign = 1
-    for i in range(len(word)):
-        if not seen[i]:
-            seen[i] = True
-            j = word[i]
-            while j != i:
-                seen[j] = True
-                j = word[j]
-                sign = -sign
-    return sign
-
-
 def _twisted_ranks(
     n: int, a: int, mu: Partition, types: tuple[Matching, ...]
 ) -> tuple[int, ...]:
     """dim Hom_{S_mu}(sgn, F_d) for d = 0, 1, ..., (n - a) / 2, by exact elimination.
 
-    Rows are letter representatives of the given twisted top-degree types.
-    The sign projection of a degree-d monomial vanishes unless its matching
-    is twisted; on a row it sums eps(S) over the d-subsets S of the row's
-    pairs of its type that leave at most one letter of each block unmatched,
-    and eps(S) is the sign of the word that lists, block by block, S's pair
-    ends key by key (pairs sorted, one order at both ends), then the
-    unmatched letter.
+    Rows are the given twisted top-degree types P.  The sign projection of
+    a degree-d monomial vanishes unless its matching is twisted, and on a
+    row it sums signs over the d-subsets of the row's pairs of its type that
+    leave at most one letter of each block unmatched.  Such a subset drops at
+    most one pair of each class (b, c), from a set D of top - d classes whose
+    blocks are distinct and hold no unmatched letter, so its type is
+    m = P - 1_D and there are prod_{k in D} P[k] of them.  They share one
+    sign: swapping a kept and a dropped pair of one class is (i i')(j j'),
+    and re-sorting that class's run at both ends is even too.  With each
+    block's letters listed class by class in P's order, then its unmatched
+    letter, the sign is (-1)^(sum over k in D of after(k)), where after(k)
+    counts the letters of k's two blocks after k's run.  Another listing
+    order multiplies each column by one fixed sign, which changes no rank.
+    So each (row, D) gives one entry, never 0.
     """
-    block = [b for b, part in enumerate(mu) for _ in range(part)]
-    starts = [sum(mu[:b]) for b in range(len(mu))]
+    top = (n - a) // 2
     rows = []
     for t in types:
-        nxt = list(starts)
-        pairs = []
-        for (b, c), m in t:
-            for _ in range(m):
-                pairs.append((nxt[b], nxt[c]))
-                nxt[b] += 1
-                nxt[c] += 1
-        fixed = [i for b, i in enumerate(nxt) if i < starts[b] + mu[b]]
-        rows.append((sorted(pairs), fixed))
-    top = (n - a) // 2
+        used = [0] * len(mu)
+        for (b, c), p in t:
+            used[b] += p
+            used[c] += p
+        # the classes that may drop a pair: (k, P[k], after(k) mod 2)
+        droppable = [
+            (k, p, sum(q for j, q in t[i + 1 :] if k[0] in j or k[1] in j) % 2)
+            for i, (k, p) in enumerate(t)
+            if used[k[0]] == mu[k[0]] and used[k[1]] == mu[k[1]]
+        ]
+        rows.append((t, droppable))
 
     def columns(d: int) -> list[Column]:
         out: dict[Matching, Column] = {}
-        for r, (pairs, fixed) in enumerate(rows):
-            for dropped in combinations(range(top), top - d):
-                unmatched = fixed + [i for p in dropped for i in pairs[p]]
-                if len({block[i] for i in unmatched}) < len(unmatched):
+        for r, (t, droppable) in enumerate(rows):
+            for dropped in combinations(droppable, top - d):
+                keys = [k for k, _, _ in dropped]
+                if len({x for k in keys for x in k}) < 2 * len(keys):
                     continue
-                ends: dict[tuple[int, int], list[tuple[int, int]]] = {}
-                for p, (i, j) in enumerate(pairs):
-                    if p not in dropped:
-                        ends.setdefault((block[i], block[j]), []).append((i, j))
-                keyed = sorted(ends.items())
-                words: list[list[int]] = [[] for _ in mu]
-                for (b, c), ps in keyed:
-                    for i, j in sorted(ps):
-                        words[b].append(i)
-                        words[c].append(j)
-                for i in unmatched:
-                    words[block[i]].append(i)
-                col = out.setdefault(tuple((k, len(ps)) for k, ps in keyed), {})
-                col[r] = col.get(r, 0) + _sign([i for word in words for i in word])
-        return [{r: x for r, x in col.items() if x} for _, col in sorted(out.items())]
+                m = tuple((k, p - (k in keys)) for k, p in t if p - (k in keys))
+                x = prod(p for _, p, _ in dropped)
+                out.setdefault(m, {})[r] = -x if sum(s for _, _, s in dropped) % 2 else x
+        return [col for _, col in sorted(out.items())]
 
     return _saturated(n, a, mu, len(rows), columns, "twisted ")
 

@@ -4,7 +4,7 @@ import json
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import accumulate, permutations, product
+from itertools import accumulate, combinations, permutations, product
 from math import comb, factorial, prod
 
 import pytest
@@ -26,7 +26,6 @@ from involution_harmonics.oracle import (
     _oracle,
     _ranks,
     _reduce_column,
-    _sign,
     _twisted_ranks,
     _type_counts,
     _young_decomposition,
@@ -232,11 +231,11 @@ def test_basis_check_raises_when_optimized_and_a_point_is_missing():
 
 
 def test_oracle_raises_when_optimized_and_the_twisted_rank_falls_short():
-    # with every sign zero no twisted column survives
+    # with no set of dropped classes no twisted column is built
     code = (
         "import involution_harmonics.oracle as o\n"
         "from involution_harmonics.errors import InvariantError\n"
-        "o._sign = lambda word: 0\n"
+        "o.combinations = lambda items, r: iter(())\n"
     ) + ENTRY_POINTS
     assert run_optimized(code) == [
         f"{name} raised: twisted rank 0 at the top degree of n=4, a=0, mu=(2, 2) "
@@ -437,13 +436,6 @@ def test_oracle_solves_from_both_ends(monkeypatch):
     assert sum(_type_counts(occurring, 3).values()) == 231
 
 
-def test_sign():
-    for k in range(6):
-        for word in permutations(range(k)):
-            inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
-            assert _sign(list(word)) == (-1) ** inversions
-
-
 def young_subgroup(mu):
     """Each element of S_mu as a dict on letters 1..n, with its sign."""
     blocks, start = [], 1
@@ -452,8 +444,12 @@ def young_subgroup(mu):
         start += part
     for images in product(*(permutations(block) for block in blocks)):
         word = [x for image in images for x in image]
-        inversions = sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
-        yield dict(zip(range(1, start), word)), (-1) ** inversions
+        yield dict(zip(range(1, start), word)), sign_of(word)
+
+
+def sign_of(word):
+    """The sign of a word of distinct letters, by counting its inversions."""
+    return (-1) ** sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
 
 
 def sign_projection_ranks(n, a, mu):
@@ -499,6 +495,86 @@ def test_twisted_ranks_are_the_ranks_of_the_sign_projection():
                 sum(h_mu.get(conjugate(lam), 0) * m[d] for lam, m in cumulative.items())
                 for d in range(top + 1)
             )
+
+
+def reference_twisted_columns(n, a, mu, types):
+    """The twisted columns of each degree d, as {type m: column}, by walking subsets.
+
+    Each row is a point of its type: block by block, its letters are given
+    to the type's classes in order, then to the unmatched letter.  On a row,
+    the column of m sums sign(S) over the d-subsets S of the row's pairs of
+    type m that leave at most one letter of each block unmatched; sign(S) is
+    the sign of the word that lists, block by block, S's pair ends class by
+    class in sorted order (pairs sorted, one order at both ends), then the
+    unmatched letter.  Entries that cancel are left out.
+    """
+    block = [b for b, part in enumerate(mu) for _ in range(part)]
+    starts = list(accumulate((0,) + mu[:-1]))
+    rows = []
+    for t in types:
+        nxt = list(starts)
+        pairs = []
+        for (b, c), m in t:
+            for _ in range(m):
+                pairs.append((nxt[b], nxt[c]))
+                nxt[b] += 1
+                nxt[c] += 1
+        fixed = [i for b, i in enumerate(nxt) if i < starts[b] + mu[b]]
+        rows.append((sorted(pairs), fixed))
+    top = (n - a) // 2
+    out = []
+    for d in range(top + 1):
+        columns = {}
+        for r, (pairs, fixed) in enumerate(rows):
+            for kept in map(set, combinations(range(top), d)):
+                dropped = [pair for p, pair in enumerate(pairs) if p not in kept]
+                unmatched = fixed + [i for pair in dropped for i in pair]
+                if len({block[i] for i in unmatched}) < len(unmatched):
+                    continue
+                ends = {}
+                for p in sorted(kept):
+                    i, j = pairs[p]
+                    ends.setdefault((block[i], block[j]), []).append((i, j))
+                words = [[] for _ in mu]
+                for (b, c), ps in sorted(ends.items()):
+                    for i, j in ps:
+                        words[b].append(i)
+                        words[c].append(j)
+                for i in unmatched:
+                    words[block[i]].append(i)
+                m = tuple((k, len(ps)) for k, ps in sorted(ends.items()))
+                column = columns.setdefault(m, {})
+                column[r] = column.get(r, 0) + sign_of([i for word in words for i in word])
+        out.append({m: {r: x for r, x in col.items() if x} for m, col in columns.items()})
+    return out
+
+
+def test_twisted_entries_are_signed_products_of_type_counts(monkeypatch):
+    # every twisted system at n <= 9: per degree, the built columns are the
+    # reference columns, each up to one sign, and no column of either is empty
+    monkeypatch.setattr(
+        oracle,
+        "_saturated",
+        lambda n, a, mu, size, columns, what: [columns(d) for d in range((n - a) // 2 + 1)],
+    )
+
+    def signed(column):
+        """The column's entries, scaled so that the one on its first row is positive."""
+        s = 1 if column[min(column)] > 0 else -1
+        return sorted((r, s * x) for r, x in column.items())
+
+    compared = 0
+    for n, a in valid_params(9):
+        top = (n - a) // 2
+        for mu in partitions_of(n):
+            types = matchings_of_size(mu, top, twisted=True)
+            want = reference_twisted_columns(n, a, mu, types)
+            for d, columns in enumerate(_twisted_ranks(n, a, mu, types)):
+                assert sorted(map(signed, columns)) == sorted(map(signed, want[d].values())), (
+                    n, a, mu, d,
+                )
+                compared += len(columns)
+    assert compared == 12725
 
 
 def test_skipped_subgroups_have_multiplicity_zero():
