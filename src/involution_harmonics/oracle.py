@@ -41,9 +41,11 @@ omega (e_mu is the sum of K(lambda', mu) s_lambda, Macdonald I.6).  A point
 whose stabilizer in S_mu holds an odd permutation carries no sign-twisted
 function, so the twisted rows are the orbit types with no pair inside a
 block and at most one fixed point per block, and they are few when mu has
-few blocks.  A twisted column drops at most one pair of each class of a row
-of type P, so its entry is one signed product, +-prod P[k] over the dropped
-classes k, read off P's counts.  The threshold between the two ends
+few blocks.  They are not counted: at the top degree the twisted rank is
+their number, so Young's rule under omega predicts it from the ungraded
+multiplicities.  A twisted column drops at most one pair of each class of a
+row of type P, so its entry is one signed product, +-prod P[k] over the
+dropped classes k, read off P's counts.  The threshold between the two ends
 minimises the sum of the squared row counts.  The graded dimensions are
 Young's rule at mu = (1^n), the sum over lambda of K(lambda, 1^n) *
 mult_lambda(F_d), from the same multiplicities.  `check basis` evaluates the
@@ -51,11 +53,12 @@ candidates on the points of the locus, listed by `involutions(n, a)`; their
 columns are 0/1, and a full rank over GF(2) certifies them before any exact
 elimination.
 
-Every list of types, untwisted or twisted, must be as long as its count,
-every rank that is computed must saturate at the number of its point types
-by the top degree, every lambda's multiplicity at the top degree must equal
-its ungraded multiplicity, and every multiplicity, ungraded or graded, must
-be nonnegative; all are checked, never assumed.  The elimination is sparse,
+Every list of untwisted types must be as long as its count and every list
+of twisted types as long as its prediction, every rank that is computed
+must saturate at the number of its point types by the top degree, every
+lambda's multiplicity at the top degree must equal its ungraded
+multiplicity, and every multiplicity, ungraded or graded, must be
+nonnegative; all are checked, never assumed.  The elimination is sparse,
 fraction-free and exact: a column keeps only its non-zero integer entries,
 each pivot step multiplies through instead of dividing, and every reduced
 column is divided by its content.
@@ -152,51 +155,70 @@ def matchings_of_size(
     return tuple(out)
 
 
-def _type_counts(
-    mus: Iterable[Partition], d: int, twisted: bool = False
-) -> dict[Partition, int]:
-    """len(matchings_of_size(mu, d, twisted)) for each mu, counted without listing.
+def _type_counts(mus: Iterable[Partition], d: int) -> dict[Partition, int]:
+    """len(matchings_of_size(mu, d)) for each mu, counted without listing.
 
     A type is a multigraph with loops and d edges on the blocks of mu, where a
     loop uses two letters of its block and an edge one letter of each end.  Its
     count depends only on the multiset of block capacities, so the smallest
-    block is removed with each choice of its edges and loops, and the counts
-    are memoized on the sorted capacities left.  A twisted type has no loop,
-    and each block keeps at most one letter unused.
+    block is removed with each choice of its edges, stepped through like an
+    odometer, and of its loops, and the counts are memoized on the sorted
+    capacities left.
     """
     memo: dict[tuple[Partition, int], int] = {}
 
     def count(caps: Partition, need: int) -> int:
         # caps: the capacities left, decreasing, zeros left out
         if need == 0:
-            return 1 if not twisted or not caps or caps[0] <= 1 else 0
+            return 1
         if 2 * need > sum(caps):
             return 0
         key = (caps, need)
         if key not in memo:
-            *rest, head = caps
-            total = 0
-
-            def spread(i: int, free: int, edges: int) -> None:
-                nonlocal total
-                if i == len(rest):
-                    left = tuple(sorted(filter(None, rest), reverse=True))
-                    most = 0 if twisted else min(free // 2, need - edges)
-                    if not twisted or free <= 1:
-                        for loops in range(most + 1):
-                            total += count(left, need - edges - loops)
-                    return
-                cap = rest[i]
-                for x in range(min(cap, free, need - edges) + 1):
-                    rest[i] = cap - x
-                    spread(i + 1, free - x, edges + x)
-                rest[i] = cap
-
-            spread(0, head, 0)
+            rest, head = caps[:-1], caps[-1]
+            most = min(head, need)
+            # edges[i]: the edges from the head to rest[i]; used: their sum
+            edges = [0] * len(rest)
+            used = total = 0
+            while True:
+                left = tuple(
+                    sorted((r - e for r, e in zip(rest, edges) if r > e), reverse=True)
+                )
+                for loops in range(min((head - used) // 2, need - used) + 1):
+                    total += count(left, need - used - loops)
+                i = len(edges) - 1
+                while i >= 0 and (edges[i] == rest[i] or used == most):
+                    used -= edges[i]
+                    edges[i] = 0
+                    i -= 1
+                if i < 0:
+                    break
+                edges[i] += 1
+                used += 1
             memo[key] = total
         return memo[key]
 
     return {mu: count(tuple(sorted(mu, reverse=True)), d) for mu in mus}
+
+
+def _twisted_counts(
+    kostka: dict[Partition, dict[Partition, int]],
+    ungraded: SchurPoly,
+    mus: Iterable[Partition],
+) -> dict[Partition, int]:
+    """The number of twisted top-degree types of each mu, by Young's rule under omega.
+
+    F_top holds every function on the points, and an S_mu-orbit of points
+    carries a sign-twisted function exactly when its type is twisted, so the
+    count is dim Hom_{S_mu}(sgn, F_top): the sum over nu of K(nu', mu) *
+    mult_nu(F_top), since e_mu is the sum of K(lambda', mu) s_lambda.
+    `ungraded` holds every non-zero mult_nu(F_top), `kostka` the row of each mu.
+    `_oracle` holds each list of twisted types to it.
+    """
+    conjugates = [(conjugate(nu), mult) for nu, (mult,) in ungraded.items()]
+    return {
+        mu: sum(kostka[mu].get(nu, 0) * mult for nu, mult in conjugates) for mu in mus
+    }
 
 
 def _reduce_column(col: Column, basis: list[tuple[int, Column]]) -> Column:
@@ -422,7 +444,8 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
     """The graded Frobenius expansion and the Hilbert series.
 
     Young's rule on the top-degree type counts gives the ungraded
-    multiplicities.  The occurring lambda are then split at the threshold
+    multiplicities, and Young's rule under omega on those gives the twisted
+    type counts.  The occurring lambda are then split at the threshold
     that minimises the sum of squared row counts: those at or above it are
     solved top-down from the ranks of S_lambda, those below it bottom-up
     from the sign-twisted ranks of S_lambda', whose rows hold K(nu', lambda')
@@ -439,10 +462,11 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
     counts = _type_counts(partitions_of(n), top)
     ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()}, kostka)
     occurring = list(ungraded)
-    twisted_counts = _type_counts(map(conjugate, occurring), top, twisted=True)
+    conjugates = {lam: conjugate(lam) for lam in occurring}
+    twisted_counts = _twisted_counts(kostka, ungraded, conjugates.values())
     costs = [
         sum(counts[lam] ** 2 for lam in occurring[:s])
-        + sum(twisted_counts[conjugate(lam)] ** 2 for lam in occurring[s:])
+        + sum(twisted_counts[conjugates[lam]] ** 2 for lam in occurring[s:])
         for s in range(len(occurring) + 1)
     ]
     split = costs.index(min(costs))
@@ -455,7 +479,7 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
         ranks[lam] = _ranks(n, a, lam, types)
     twisted_ranks = {}
     for lam in reversed(occurring[split:]):
-        mu = conjugate(lam)
+        mu = conjugates[lam]
         types = _listed(
             matchings_of_size(mu, top, twisted=True), twisted_counts[mu],
             f"twisted top-degree types of n={n}, a={a}, mu={mu}",
@@ -463,7 +487,7 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
         twisted_ranks[lam] = _twisted_ranks(n, a, mu, types)
     # the row of lambda in the omega-image: K(nu', lambda') over nu
     twisted_rows = {
-        lam: {conjugate(nu): k for nu, k in kostka[conjugate(lam)].items()}
+        lam: {conjugate(nu): k for nu, k in kostka[conjugates[lam]].items()}
         for lam in twisted_ranks
     }
     frobenius = _young_decomposition(ranks, kostka)

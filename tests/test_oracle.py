@@ -26,6 +26,7 @@ from involution_harmonics.oracle import (
     _oracle,
     _ranks,
     _reduce_column,
+    _twisted_counts,
     _twisted_ranks,
     _type_counts,
     _young_decomposition,
@@ -146,13 +147,27 @@ def test_type_counts_match_the_listed_types():
         for d in range(n // 2 + 1):
             counts = _type_counts(partitions_of(n), d)
             assert counts == {mu: len(matchings_of_size(mu, d)) for mu in partitions_of(n)}
-            twisted = _type_counts(partitions_of(n), d, twisted=True)
-            assert twisted == {
-                mu: len(matchings_of_size(mu, d, twisted=True)) for mu in partitions_of(n)
-            }
             if n:
                 assert counts[(1,) * n] == count_involutions(n, n - 2 * d)
-                assert twisted[(1,) * n] == counts[(1,) * n]
+
+
+def test_twisted_counts_match_the_listed_twisted_types():
+    # Young's rule under omega on the ungraded multiplicities, for every mu,
+    # not only the conjugates of the lambda that occur
+    cases = 0
+    for n in range(1, 11):
+        kostka = _kostka_rows(n)
+        mus = partitions_of(n)
+        for a in range(n % 2, n + 1, 2):
+            top = (n - a) // 2
+            counts = _type_counts(mus, top)
+            ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()}, kostka)
+            twisted = _twisted_counts(kostka, ungraded, mus)
+            assert twisted == {mu: len(matchings_of_size(mu, top, twisted=True)) for mu in mus}
+            # S_(1^n) is trivial, so the sign twist changes nothing there
+            assert twisted[(1,) * n] == counts[(1,) * n]
+            cases += len(mus)
+    assert cases == 663
 
 
 def run_optimized(code):
@@ -174,21 +189,20 @@ NAMES = ("graded_hilbert", "oracle_graded_frobenius", "verify_monomial_basis")
 
 def test_oracle_raises_when_optimized_and_a_type_count_is_off():
     # one more type of S_(1^4) than there are is one copy of the sign
-    # representation, which the sign-twisted ranks of S_(4) then find missing
+    # representation, which Young's rule under omega then predicts as a
+    # twisted type of S_(4) that the lister does not find
     code = (
         "import involution_harmonics.oracle as o\n"
         "from involution_harmonics.errors import InvariantError\n"
         "real = o._type_counts\n"
-        "def miscount(mus, d, twisted=False):\n"
-        "    counts = real(mus, d, twisted)\n"
-        "    if not twisted:\n"
-        "        counts[(1, 1, 1, 1)] += 1\n"
+        "def miscount(mus, d):\n"
+        "    counts = real(mus, d)\n"
+        "    counts[(1, 1, 1, 1)] += 1\n"
         "    return counts\n"
         "o._type_counts = miscount\n"
     ) + ENTRY_POINTS
     assert run_optimized(code) == [
-        f"{name} raised: top-degree multiplicity 0 of (1, 1, 1, 1) at n=4, a=0 "
-        "differs from its ungraded multiplicity 1"
+        f"{name} raised: 0 twisted top-degree types of n=4, a=0, mu=(4,) listed, 1 counted"
         for name in NAMES
     ]
 
