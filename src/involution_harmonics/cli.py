@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .checks import check_bijections, check_formulas, check_width
 from .errors import (
@@ -221,7 +222,13 @@ def _add_locus_args(parser, n_help=_UNCAPPED, with_cap=False) -> None:
         )
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built on the first call, once per process.
+
+    `parse_args` returns a new Namespace on every call, so no state carries
+    from one call of `main` to the next.
+    """
     parser = argparse.ArgumentParser(
         prog="invharm",
         description="Graded characters of involution matrix loci, exactly.",
@@ -279,8 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # a bad --cap is rejected whatever the method, not only by the oracle
         if getattr(args, "cap", None) is not None:

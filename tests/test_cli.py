@@ -8,7 +8,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from involution_harmonics.cli import build_parser
+from involution_harmonics.cli import build_parser, main
 from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import graded_hilbert
 
@@ -231,3 +231,25 @@ def test_every_size_option_names_its_cap_or_its_growth():
     for command in ("invharm grfrob", "invharm hilb"):
         assert "--method oracle" in helps[command], command
         assert "grows exponentially" in helps[command], command
+
+
+def test_one_parser_carries_no_state_between_calls(monkeypatch, capsys):
+    assert build_parser() is build_parser()
+    # --help wraps at the terminal width; fix it for both sides
+    monkeypatch.setenv("COLUMNS", "80")
+    sequence = [
+        (("grfrob", "--n", "x"), 2),
+        (("check", "basis", "--n", "4", "--a", "0", "--cap", "0"), 2),
+        (("grfrob", "--n", "7", "--a", "1", "--method", "oracle"), 3),
+        (("grfrob", "--help"), 0),
+        (("grfrob", "--n", "6", "--a", "2", "--method", "oracle", "--cap", "9",
+          "--format", "json"), 0),
+    ]
+    for args, code in sequence:
+        try:
+            got = main(list(args))
+        except SystemExit as exc:  # argparse rejections and --help
+            got = exc.code
+        fresh = run(*args)
+        assert (got, *capsys.readouterr()) == (code, fresh.stdout, fresh.stderr), args
+        assert fresh.returncode == code, args

@@ -1,5 +1,6 @@
 """Brute-force ground truth: invariant ranks, Young's rule, and basis verification."""
 
+import copy
 import json
 import subprocess
 import sys
@@ -293,6 +294,30 @@ def test_kostka_rows_without_the_pieri_enumerator():
             # h_mu is the character of the permutation module on S_n / S_mu
             multinomial = factorial(n) // prod(factorial(part) for part in mu)
             assert sum(k * syt_count(lam) for lam, k in row.items()) == multinomial
+
+
+def clear_plan_caches():
+    for cached in (oracle._count, oracle._kostka_row, oracle._strips):
+        cached.cache_clear()
+
+
+def test_shared_rows_stay_unchanged_and_results_do_not_depend_on_call_order():
+    def results(n, a):
+        return (
+            oracle_graded_frobenius(n, a, size_cap=8),
+            graded_hilbert(n, a, size_cap=8),
+            verify_monomial_basis(n, a, size_cap=8),
+        )
+
+    clear_plan_caches()
+    rows = {n: copy.deepcopy(_kostka_rows(n)) for n in range(1, 9)}
+    # largest n first, so each smaller locus reads rows and counts a larger one cached
+    loci = sorted(valid_params(8), reverse=True)
+    shared = {locus: results(*locus) for locus in loci}
+    assert {n: _kostka_rows(n) for n in rows} == rows
+    for locus in loci:
+        clear_plan_caches()
+        assert results(*locus) == shared[locus], locus
 
 
 def test_young_decomposition_rejects_a_negative_multiplicity():
