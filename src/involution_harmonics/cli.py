@@ -1,7 +1,9 @@
 """Command line interface.
 
 Exit codes: 0 success (or check passed), 1 check failed, 2 usage error
-(including invalid parameter combinations), 3 size cap exceeded.
+(including invalid parameter combinations), 3 size cap exceeded, 141 standard
+output closed by its reader before the command finished writing (the status a
+shell reports for a process killed by SIGPIPE), with nothing on stderr.
 
 JSON output is deterministic: identical inputs produce identical bytes.
 """
@@ -10,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import cache
 
@@ -291,7 +294,15 @@ def main(argv=None) -> int:
         # a bad --cap is rejected whatever the method, not only by the oracle
         if getattr(args, "cap", None) is not None:
             oracle_size_cap(args.cap)
-        return args.func(args)
+        code = args.func(args)
+        # a short output is written only here, so a closed pipe shows here too
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the flush at interpreter exit would fail again: point stdout at the
+        # null device first, as the docs of the signal module advise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except InvalidParametersError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

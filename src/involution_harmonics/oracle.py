@@ -36,23 +36,24 @@ multiplicity 0 in every degree.  So ranks are eliminated only for the lambda
 that occur, from one of the two ends of Young's rule.  The high lambda are
 solved top-down from the ranks of S_lambda.  The low lambda, whose untwisted
 systems reach thousands of rows, are solved bottom-up from the sign-twisted
-ranks dim Hom_{S_mu}(sgn, F_d) at mu = lambda', which are
-sum over nu of K(nu', lambda') * mult_nu(F_d), the image of Young's rule under
-omega (e_mu is the sum of K(lambda', mu) s_lambda, Macdonald I.6).  A point
-whose stabilizer in S_mu holds an odd permutation carries no sign-twisted
-function, so the twisted rows are the orbit types with no pair inside a
-block and at most one fixed point per block, and they are few when mu has
-few blocks.  They are not counted: at the top degree the twisted rank is
-their number, so Young's rule under omega predicts it from the ungraded
-multiplicities.  A twisted column drops at most one pair of each class of a
-row of type P, so its entry is one signed product, +-prod P[k] over the
-dropped classes k, read off P's counts.  The threshold between the two ends
-minimises the sum of the squared row counts.  The graded dimensions are
-Young's rule at mu = (1^n), the sum over lambda of K(lambda, 1^n) *
-mult_lambda(F_d), from the same multiplicities.  `check basis` evaluates the
-candidates on the points of the locus, listed by `involutions(n, a)`; their
-columns are 0/1, and a full rank over GF(2) certifies them before any exact
-elimination.
+ranks dim Hom_{S_mu}(sgn, F_d) = dim (F_d (x) sgn)^{S_mu} at mu = lambda'.
+Since mult_rho(F_d (x) sgn) = mult_rho'(F_d), these are Young's rule of
+F_d (x) sgn on the same rows K(rho, mu), keyed by lambda', and the keys it
+solves for are conjugated back (Macdonald I.6: e_mu is the sum of
+K(lambda', mu) s_lambda).  A point whose stabilizer in S_mu holds an odd
+permutation carries no sign-twisted function, so the twisted rows are the
+orbit types with no pair inside a block and at most one fixed point per
+block, and they are few when mu has few blocks.  They are not counted: at the
+top degree the twisted rank is their number, so Young's rule of F_top (x) sgn
+predicts it from the conjugated ungraded multiplicities.  A twisted column
+drops at most one pair of each class of a row of type P, so its entry is one
+signed product, +-prod P[k] over the dropped classes k, read off P's counts.
+The threshold between the two ends minimises the sum of the squared row
+counts.  The graded dimensions are Young's rule at mu = (1^n), the sum over
+lambda of K(lambda, 1^n) * mult_lambda(F_d), from the same multiplicities.
+`check basis` evaluates the candidates on the points of the locus, listed by
+`involutions(n, a)`; their columns are 0/1, and a full rank over GF(2)
+certifies them before any exact elimination.
 
 Every list of untwisted types must be as long as its count and every list
 of twisted types as long as its prediction, every rank that is computed
@@ -159,11 +160,17 @@ def matchings_of_size(
 
 @cache
 def _count(caps: Partition, need: int) -> int:
-    """The number of types with `need` edges on blocks of capacities `caps`.
+    """len(matchings_of_size(caps, need)), counted without listing.
 
-    caps are decreasing, zeros left out.  The cache is unbounded: it keeps
-    every (caps, need) asked for, about 1.3 MiB once every degree of n = 16
-    is counted and 2.7 MiB at n = 18, for the life of the process.
+    A type is a multigraph with loops and `need` edges on the blocks, where a
+    loop uses two letters of its block and an edge one letter of each end.
+    Its count depends only on the multiset of block capacities, decreasing
+    with zeros left out, so a partition mu is its own key.  The smallest
+    block is removed with each choice of its edges, stepped through like an
+    odometer, and of its loops.  The cache is unbounded: it keeps every
+    (caps, need) asked for, about 1.3 MiB once every degree of n = 16 is
+    counted and 2.7 MiB at n = 18, for the life of the process, shared by
+    every locus.
     """
     if need == 0:
         return 1
@@ -187,39 +194,6 @@ def _count(caps: Partition, need: int) -> int:
             return total
         edges[i] += 1
         used += 1
-
-
-def _type_counts(mus: Iterable[Partition], d: int) -> dict[Partition, int]:
-    """len(matchings_of_size(mu, d)) for each mu, counted without listing.
-
-    A type is a multigraph with loops and d edges on the blocks of mu, where a
-    loop uses two letters of its block and an edge one letter of each end.  Its
-    count depends only on the multiset of block capacities, so the smallest
-    block is removed with each choice of its edges, stepped through like an
-    odometer, and of its loops, and `_count` keeps the counts on the sorted
-    capacities left for the process, shared by every locus.
-    """
-    return {mu: _count(tuple(sorted(mu, reverse=True)), d) for mu in mus}
-
-
-def _twisted_counts(
-    kostka: dict[Partition, dict[Partition, int]],
-    ungraded: SchurPoly,
-    mus: Iterable[Partition],
-) -> dict[Partition, int]:
-    """The number of twisted top-degree types of each mu, by Young's rule under omega.
-
-    F_top holds every function on the points, and an S_mu-orbit of points
-    carries a sign-twisted function exactly when its type is twisted, so the
-    count is dim Hom_{S_mu}(sgn, F_top): the sum over nu of K(nu', mu) *
-    mult_nu(F_top), since e_mu is the sum of K(lambda', mu) s_lambda.
-    `ungraded` holds every non-zero mult_nu(F_top), `kostka` the row of each mu.
-    `_oracle` holds each list of twisted types to it.
-    """
-    conjugates = [(conjugate(nu), mult) for nu, (mult,) in ungraded.items()]
-    return {
-        mu: sum(kostka[mu].get(nu, 0) * mult for nu, mult in conjugates) for mu in mus
-    }
 
 
 def _reduce_column(col: Column, basis: list[tuple[int, Column]]) -> Column:
@@ -274,11 +248,6 @@ def _gf2_rank(columns: Iterable[int]) -> int:
     return len(pivots)
 
 
-def _rows(types: tuple[Matching, ...]) -> list[tuple[dict, frozenset]]:
-    """Each type as its counts by key, and its keys."""
-    return [(dict(p), frozenset(k for k, _ in p)) for p in types]
-
-
 def _column(m: Matching, rows: list[tuple[dict, frozenset]]) -> Column:
     """The orbit sum of type m on each row P: prod_k C(P[k], m_k), zeros left out."""
     keys = frozenset(k for k, _ in m)
@@ -322,7 +291,7 @@ def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[
     Rows are the given top-degree types of mu, columns the orbit sums of degree
     <= d; the rank must reach the number of point types by the top degree.
     """
-    rows = _rows(types)
+    rows = [(dict(p), frozenset(k for k, _ in p)) for p in types]
 
     def columns(d: int) -> Iterable[Column]:
         return (_column(m, rows) for m in matchings_of_size(mu, d))
@@ -385,7 +354,8 @@ def _strips(lam: Partition, part: int) -> tuple[Partition, ...]:
     """The outer shapes of the horizontal strips of `part` boxes over lam.
 
     The cache is unbounded: it keeps every (shape, part) asked for, for the
-    life of the process; `_kostka_rows(18)` asks for 2,308 of them.
+    life of the process; the rows of the partitions of 18 ask for 2,308 of
+    them.
     """
     return tuple(horizontal_strips_over(lam, part))
 
@@ -396,9 +366,8 @@ def _kostka_row(mu: Partition) -> dict[Partition, int]:
 
     The cache is unbounded: it keeps the row of every partition asked for and
     of each of its prefixes, for the life of the process.  With the strip
-    lists the rows hold about 3.3 MiB after `_kostka_rows(16)` and 9.0 MiB
-    after `_kostka_rows(18)`.  Callers share the rows and must not change
-    them.
+    lists the rows hold about 3.3 MiB once every partition of 16 is asked
+    for and 9.0 MiB at 18.  Callers share the rows and must not change them.
     """
     if not mu:
         return {(): 1}
@@ -409,32 +378,19 @@ def _kostka_row(mu: Partition) -> dict[Partition, int]:
     return out
 
 
-def _kostka_rows(n: int) -> dict[Partition, dict[Partition, int]]:
-    """{mu: {lambda: K(lambda, mu)}} for every mu of n, the Schur expansions of h_mu.
+def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
+    """Graded multiplicities from invariant ranks, by Young's rule.
 
-    The row of mu is the row of mu without its last part, pushed through the
-    Pieri rule for that part, so each row of a smaller partition is built once
-    per process, and so is each (shape, part) strip list, which many rows
-    share; a row for n reuses the rows that earlier loci built.
-    """
-    return {mu: _kostka_row(mu) for mu in partitions_of(n)}
-
-
-def _young_decomposition(
-    ranks: dict[Partition, tuple[int, ...]], rows: dict[Partition, dict[Partition, int]]
-) -> SchurPoly:
-    """Graded multiplicities from invariant ranks and the rows of Young's rule.
-
-    The rank of mu is the sum over lambda of rows[mu][lambda] times the
-    cumulative multiplicity of lambda, and rows[mu][mu] = 1.  `ranks` lists
-    partitions so that every other lambda with a non-zero entry in the row
-    of mu comes before mu; a partition left out is taken to have
+    The rank of mu is the sum over lambda of K(lambda, mu) times the
+    cumulative multiplicity of lambda, read off the cached row of mu, and
+    K(mu, mu) = 1.  `ranks` lists partitions so that every other lambda with
+    K(lambda, mu) != 0 comes before mu; a partition left out is taken to have
     multiplicity 0 in every degree.
     """
     filtration: dict[Partition, list[int]] = {}
     out: SchurPoly = {}
     for mu, r in ranks.items():
-        row = rows[mu]
+        row = _kostka_row(mu)
         cumulative = list(r)
         for lam, mult in filtration.items():
             k = row.get(lam, 0)
@@ -459,12 +415,16 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
     """The graded Frobenius expansion and the Hilbert series.
 
     Young's rule on the top-degree type counts gives the ungraded
-    multiplicities, and Young's rule under omega on those gives the twisted
-    type counts.  The occurring lambda are then split at the threshold
-    that minimises the sum of squared row counts: those at or above it are
-    solved top-down from the ranks of S_lambda, those below it bottom-up
-    from the sign-twisted ranks of S_lambda', whose rows hold K(nu', lambda')
-    (Young's rule under omega: e_mu is the sum of K(lambda', mu) s_lambda).
+    multiplicities, and Young's rule of F_top (x) sgn, which holds
+    s_lambda' as often as F_top holds s_lambda, gives the twisted type
+    counts.  The occurring lambda are then split at the threshold that
+    minimises the sum of squared row counts: those at or above it are solved
+    top-down from the ranks of S_lambda, those below it bottom-up from the
+    sign-twisted ranks of S_lambda', keyed by lambda' as the ranks of
+    F_d (x) sgn, on the same Kostka rows.  Taken in increasing order of
+    lambda, every rho with K(rho, lambda') != 0 in that set comes before
+    lambda': rho dominates lambda', so rho' is dominated by lambda and is
+    lexicographically at most lambda.
     """
     check_locus_params(n, a)
     cap = oracle_size_cap(size_cap)
@@ -473,15 +433,18 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
             f"n={n} exceeds the oracle size cap {cap}; raise it with --cap or size_cap="
         )
     top = (n - a) // 2
-    kostka = _kostka_rows(n)
-    counts = _type_counts(partitions_of(n), top)
-    ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()}, kostka)
+    counts = {mu: _count(mu, top) for mu in partitions_of(n)}
+    ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()})
     occurring = list(ungraded)
-    conjugates = {lam: conjugate(lam) for lam in occurring}
-    twisted_counts = _twisted_counts(kostka, ungraded, conjugates.values())
+    # the ungraded multiplicities of F_top (x) sgn, keyed by lambda'
+    omega = {conjugate(lam): mult for lam, (mult,) in ungraded.items()}
+    conjugates = list(omega)
+    twisted_counts = {
+        mu: sum(_kostka_row(mu).get(rho, 0) * m for rho, m in omega.items()) for mu in omega
+    }
     costs = [
         sum(counts[lam] ** 2 for lam in occurring[:s])
-        + sum(twisted_counts[conjugates[lam]] ** 2 for lam in occurring[s:])
+        + sum(twisted_counts[mu] ** 2 for mu in conjugates[s:])
         for s in range(len(occurring) + 1)
     ]
     split = costs.index(min(costs))
@@ -493,27 +456,22 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
         )
         ranks[lam] = _ranks(n, a, lam, types)
     twisted_ranks = {}
-    for lam in reversed(occurring[split:]):
-        mu = conjugates[lam]
+    for mu in reversed(conjugates[split:]):
         types = _listed(
             matchings_of_size(mu, top, twisted=True), twisted_counts[mu],
             f"twisted top-degree types of n={n}, a={a}, mu={mu}",
         )
-        twisted_ranks[lam] = _twisted_ranks(n, a, mu, types)
-    # the row of lambda in the omega-image: K(nu', lambda') over nu
-    twisted_rows = {
-        lam: {conjugate(nu): k for nu, k in kostka[conjugates[lam]].items()}
-        for lam in twisted_ranks
-    }
-    frobenius = _young_decomposition(ranks, kostka)
-    frobenius.update(_young_decomposition(twisted_ranks, twisted_rows))
+        twisted_ranks[mu] = _twisted_ranks(n, a, mu, types)
+    frobenius = _young_decomposition(ranks)
+    for rho, coeff in _young_decomposition(twisted_ranks).items():
+        frobenius[conjugate(rho)] = coeff
     for lam, (mult,) in ungraded.items():
         if sum(frobenius.get(lam, ())) != mult:
             raise InvariantError(
                 f"top-degree multiplicity {sum(frobenius.get(lam, ()))} of {lam} "
                 f"at n={n}, a={a} differs from its ungraded multiplicity {mult}"
             )
-    dims = kostka[(1,) * n]
+    dims = _kostka_row((1,) * n)
     acc: dict[Partition, list[int]] = {}
     for lam, coeff in frobenius.items():
         _add_into(acc, (), [dims[lam] * c for c in coeff])

@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import re
 import shlex
 import subprocess
@@ -13,12 +14,12 @@ from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import graded_hilbert
 
 
+def command(*args):
+    return [sys.executable, "-m", "involution_harmonics", *args]
+
+
 def run(*args):
-    return subprocess.run(
-        [sys.executable, "-m", "involution_harmonics", *args],
-        capture_output=True,
-        text=True,
-    )
+    return subprocess.run(command(*args), capture_output=True, text=True)
 
 
 def test_grfrob_json_is_stable_across_methods():
@@ -192,6 +193,35 @@ def test_enumerate_involutions_width_histogram():
     assert histogram(4, 0) == [[1, 1], [2, 2]]
     for n, a in [(5, 1), (6, 2)]:
         assert sum(k for _, k in histogram(n, a)) == count_involutions(n, a)
+
+
+def test_a_reader_that_stops_early_ends_the_command_with_141():
+    # about 270 kB of text, more than a pipe holds, so the command is still
+    # writing when the reader closes its end after the first line
+    with subprocess.Popen(
+        command("enumerate", "involutions", "--n", "10", "--a", "2"),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline().startswith(b"pairs=")
+        proc.stdout.close()
+        assert (proc.wait(timeout=60), proc.stderr.read()) == (141, b"")
+
+
+def test_a_pipe_closed_before_the_start_ends_the_command_with_141():
+    # a short output fails only when it is flushed
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        out = subprocess.run(
+            command("grfrob", "--n", "3", "--a", "1"),
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (out.returncode, out.stderr) == (141, b"")
 
 
 def test_sweeps_that_would_check_nothing_exit_2():
