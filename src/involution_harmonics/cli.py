@@ -36,7 +36,7 @@ from .oracle import (
     oracle_size_cap,
     verify_monomial_basis,
 )
-from .schur import SchurPoly, schur_terms
+from .schur import SchurPoly, schur_json, schur_terms
 from .stripes import (
     _row_width,
     steps_heights,
@@ -56,15 +56,6 @@ def _dumps(obj) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _schur_json(f: SchurPoly) -> dict:
-    return {
-        "terms": [
-            {"partition": list(lam), "coeffs": list(coeff)}
-            for lam, coeff in schur_terms(f)
-        ]
-    }
-
-
 def _qp_text(coeff) -> str:
     parts = []
     for d, c in enumerate(coeff):
@@ -80,7 +71,7 @@ def _qp_text(coeff) -> str:
 
 def _print_schur(f: SchurPoly, fmt: str) -> None:
     if fmt == "json":
-        print(_dumps(_schur_json(f)))
+        print(_dumps(schur_json(f)))
         return
     for lam, coeff in schur_terms(f):
         name = "s[" + ",".join(map(str, lam)) + "]"
@@ -213,10 +204,11 @@ def _cmd_enumerate_involutions(args) -> int:
     return 0
 
 
-def _add_locus_args(parser, n_help=_UNCAPPED, with_cap=False) -> None:
-    parser.add_argument("--n", type=int, required=True, help=n_help)
+def _add_locus_args(parser, capped: str | None = None) -> None:
+    """--n and --a; given the help text of a capped --n, --cap too."""
+    parser.add_argument("--n", type=int, required=True, help=capped or _UNCAPPED)
     parser.add_argument("--a", type=int, required=True)
-    if with_cap:
+    if capped:
         parser.add_argument(
             "--cap",
             type=int,
@@ -239,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     grfrob = sub.add_parser("grfrob", help="graded Schur expansion of the locus")
-    _add_locus_args(grfrob, _ORACLE_CAPPED, with_cap=True)
+    _add_locus_args(grfrob, _ORACLE_CAPPED)
     grfrob.add_argument(
         "--method",
         choices=["signed", "positive", "width", "oracle"],
@@ -249,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     grfrob.set_defaults(func=_cmd_grfrob)
 
     hilb = sub.add_parser("hilb", help="graded dimension series of the locus")
-    _add_locus_args(hilb, _ORACLE_CAPPED, with_cap=True)
+    _add_locus_args(hilb, _ORACLE_CAPPED)
     hilb.add_argument("--method", choices=["formula", "oracle"], default="formula")
     hilb.add_argument("--format", choices=["text", "json"], default="text")
     hilb.set_defaults(func=_cmd_hilb)
@@ -267,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sweep_parser.set_defaults(func=_cmd_check_sweep, sweep=sweep)
     basis = check_sub.add_parser("basis", help="candidate monomials form a basis")
-    _add_locus_args(basis, _CAPPED, with_cap=True)
+    _add_locus_args(basis, _CAPPED)
     basis.set_defaults(func=_cmd_check_basis)
 
     enum = sub.add_parser("enumerate", help="list stripes or involutions")

@@ -62,8 +62,9 @@ lambda's multiplicity at the top degree must equal its ungraded
 multiplicity, and every multiplicity, ungraded or graded, must be
 nonnegative; all are checked, never assumed.  The elimination is sparse,
 fraction-free and exact: a column keeps only its non-zero integer entries,
-each pivot step multiplies through instead of dividing, and every reduced
-column is divided by its content.
+each pivot step multiplies through instead of dividing, every reduced
+column is divided by its content, and `_reduce_column` alone stores each
+non-zero one as a pivot, keyed on its lowest row.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ from .errors import (
 )
 from .involutions import involutions
 from .partitions import Partition, conjugate, horizontal_strips_over, partitions_of
-from .schur import QPoly, SchurPoly, _add_into, _frozen, qp_normal, schur_terms
+from .schur import QPoly, SchurPoly, _add_into, _frozen, qp_normal, schur_json
 from .tableaux import candidate_basis
 
 DEFAULT_SIZE_CAP = 6
@@ -120,7 +121,8 @@ def matchings_of_size(
     mu = (1^n) each type is one matching, and the order leaves letter b
     unmatched first, then pairs it with its smallest partner first.  The
     twisted types are those with no pair inside a block and at most one
-    letter of each block unmatched.
+    letter of each block unmatched, in the same order; a branch stops once
+    it passes the last key of a block with two letters still free.
     """
     keys = [
         (b, c)
@@ -140,7 +142,9 @@ def matchings_of_size(
         if k == len(keys):
             return
         b, c = keys[k]
-        if 2 * need > sum(free[b:]):
+        # a twisted type leaves at most one letter of a block unmatched, and
+        # no key from here on touches block b - 1
+        if 2 * need > sum(free[b:]) or twisted and b and free[b - 1] > 1:
             return
         most = free[b] // 2 if b == c else min(free[b], free[c])
         for m in range(min(most, need) + 1):
@@ -203,7 +207,9 @@ def _reduce_column(col: Column, basis: list[tuple[int, Column]]) -> Column:
     fraction-free step v <- p * v - c * pvec, with p and c the two entries in
     that row divided by their gcd and p made positive; it walks only the
     non-zero entries of the two vectors, and the result is then divided by
-    its content.
+    its content.  A non-zero result is stored as a new pivot, keyed on its
+    lowest row, which no earlier pivot's row is; the result is returned
+    either way, so an empty one marks a dependent column.
     """
     v = col
     for pivot, pvec in basis:
@@ -222,6 +228,8 @@ def _reduce_column(col: Column, basis: list[tuple[int, Column]]) -> Column:
             g = gcd(*v.values())
             if g > 1:
                 v = {i: x // g for i, x in v.items()}
+    if v:
+        basis.append((min(v), v))
     return v
 
 
@@ -271,11 +279,8 @@ def _saturated(
     for d in range((n - a) // 2 + 1):
         if len(basis) < size:
             for col in columns(d):
-                reduced = _reduce_column(col, basis)
-                if reduced:
-                    basis.append((min(reduced), reduced))
-                    if len(basis) == size:
-                        break
+                if _reduce_column(col, basis) and len(basis) == size:
+                    break
         ranks.append(len(basis))
     if ranks[-1] != size:
         raise InvariantError(
@@ -405,12 +410,6 @@ def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
     return out
 
 
-def _listed(types: tuple[Matching, ...], count: int, what: str) -> tuple[Matching, ...]:
-    if len(types) != count:
-        raise InvariantError(f"{len(types)} {what} listed, {count} counted")
-    return types
-
-
 def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
     """The graded Frobenius expansion and the Hilbert series.
 
@@ -448,23 +447,23 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
         for s in range(len(occurring) + 1)
     ]
     split = costs.index(min(costs))
-    ranks = {}
-    for lam in occurring[:split]:
-        types = _listed(
-            matchings_of_size(lam, top), counts[lam],
-            f"top-degree types of n={n}, a={a}, mu={lam}",
-        )
-        ranks[lam] = _ranks(n, a, lam, types)
-    twisted_ranks = {}
-    for mu in reversed(conjugates[split:]):
-        types = _listed(
-            matchings_of_size(mu, top, twisted=True), twisted_counts[mu],
-            f"twisted top-degree types of n={n}, a={a}, mu={mu}",
-        )
-        twisted_ranks[mu] = _twisted_ranks(n, a, mu, types)
-    frobenius = _young_decomposition(ranks)
-    for rho, coeff in _young_decomposition(twisted_ranks).items():
-        frobenius[conjugate(rho)] = coeff
+    frobenius: SchurPoly = {}
+    for twisted, keys, counted, solve in (
+        (False, occurring[:split], counts, _ranks),
+        (True, conjugates[split:][::-1], twisted_counts, _twisted_ranks),
+    ):
+        what = "twisted " if twisted else ""
+        ranks = {}
+        for mu in keys:
+            types = matchings_of_size(mu, top, twisted)
+            if len(types) != counted[mu]:
+                raise InvariantError(
+                    f"{len(types)} {what}top-degree types of n={n}, a={a}, mu={mu} "
+                    f"listed, {counted[mu]} counted"
+                )
+            ranks[mu] = solve(n, a, mu, types)
+        for lam, coeff in _young_decomposition(ranks).items():
+            frobenius[conjugate(lam) if twisted else lam] = coeff
     for lam, (mult,) in ungraded.items():
         if sum(frobenius.get(lam, ())) != mult:
             raise InvariantError(
@@ -539,23 +538,16 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
         for (d, monomial), column in zip(candidates, columns):
             # the bits of the mask, lowest first, as a sparse column of ones
             bits = bin(column)[:1:-1]
-            reduced = _reduce_column({p: 1 for p, b in enumerate(bits) if b == "1"}, basis)
-            if not reduced:
+            if not _reduce_column({p: 1 for p, b in enumerate(bits) if b == "1"}, basis):
                 failures.append(f"degree {d} monomial {monomial} is dependent")
                 break
-            basis.append((min(reduced), reduced))
-    while profile and profile[-1] == 0:
-        profile.pop()
     report = {
         "n": n,
         "a": a,
         "hilbert": list(hilbert),
-        "frobenius": [
-            {"partition": list(lam), "coeffs": list(coeff)}
-            for lam, coeff in schur_terms(frobenius)
-        ],
+        "frobenius": schur_json(frobenius)["terms"],
         "basis_check": "PASS" if not failures else "FAIL",
-        "profile": profile,
+        "profile": list(qp_normal(profile)),
     }
     if failures:
         report["failures"] = failures

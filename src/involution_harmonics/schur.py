@@ -96,3 +96,13 @@ def is_nonnegative(f: SchurPoly) -> bool:
 def schur_terms(f: SchurPoly) -> list[tuple[Partition, QPoly]]:
     """Terms sorted by partition, decreasing lexicographic; the canonical order."""
     return sorted(f.items(), key=lambda kv: kv[0], reverse=True)
+
+
+def schur_json(f: SchurPoly) -> dict:
+    """The JSON form of f: {"terms": [{"partition": [...], "coeffs": [...]}, ...]}."""
+    return {
+        "terms": [
+            {"partition": list(lam), "coeffs": list(coeff)}
+            for lam, coeff in schur_terms(f)
+        ]
+    }

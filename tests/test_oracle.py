@@ -161,9 +161,19 @@ def test_type_counts_match_the_listed_types():
                 assert counts[(1,) * n] == count_involutions(n, n - 2 * d)
 
 
+def fits_the_sign(mu, t):
+    """Whether type t has no pair inside a block and leaves at most one letter of each unmatched."""
+    free = list(mu)
+    for (b, c), m in t:
+        free[b] -= m
+        free[c] -= m
+    return all(b != c for (b, c), _ in t) and all(f <= 1 for f in free)
+
+
 def test_twisted_counts_match_the_listed_twisted_types():
     # Young's rule of F_top (x) sgn, whose multiplicity of lambda' is that of
-    # lambda in F_top, for every mu, not only the conjugates of the lambda that occur
+    # lambda in F_top, for every mu, not only the conjugates of the lambda that occur;
+    # each list is, in order, the untwisted types that fit the sign
     cases = 0
     for n in range(1, 11):
         kostka = kostka_rows(n)
@@ -176,7 +186,12 @@ def test_twisted_counts_match_the_listed_twisted_types():
             twisted = {
                 mu: sum(kostka[mu].get(rho, 0) * m for rho, m in omega.items()) for mu in mus
             }
-            assert twisted == {mu: len(matchings_of_size(mu, top, twisted=True)) for mu in mus}
+            listed = {mu: matchings_of_size(mu, top, twisted=True) for mu in mus}
+            assert listed == {
+                mu: tuple(t for t in matchings_of_size(mu, top) if fits_the_sign(mu, t))
+                for mu in mus
+            }
+            assert twisted == {mu: len(types) for mu, types in listed.items()}
             # S_(1^n) is trivial, so the sign twist changes nothing there
             assert twisted[(1,) * n] == counts[(1,) * n]
             cases += len(mus)
@@ -371,11 +386,12 @@ def test_reduce_column_keeps_one_pivot_per_rank(data):
         columns = data.draw(st.permutations(columns))
     basis = []
     for col in columns:
+        earlier = list(basis)
         reduced = _reduce_column({i: x for i, x in enumerate(col) if x}, basis)
         assert all(reduced.values())
-        assert not any(pivot in reduced for pivot, _ in basis)
-        if reduced:
-            basis.append((min(reduced), reduced))
+        assert not any(pivot in reduced for pivot, _ in earlier)
+        # a non-zero result is stored, keyed on its lowest row, and nothing else is
+        assert basis == (earlier + [(min(reduced), reduced)] if reduced else earlier)
     assert len(basis) == fraction_rank(columns)
 
 
@@ -405,9 +421,7 @@ def test_gf2_rank_is_the_span_dimension_in_any_column_order(data):
     # the exact rank bounds it from above and is reached when it is full
     basis = []
     for m in masks:
-        reduced = _reduce_column({p: 1 for p in range(height) if m >> p & 1}, basis)
-        if reduced:
-            basis.append((min(reduced), reduced))
+        _reduce_column({p: 1 for p in range(height) if m >> p & 1}, basis)
     assert rank <= len(basis)
     if rank == len(masks):
         assert len(basis) == rank
@@ -519,9 +533,7 @@ def sign_projection_ranks(n, a, mu):
                 for r, point in enumerate(points)
                 if (x := sum(c for image, c in images.items() if image <= point))
             }
-            reduced = _reduce_column(column, basis)
-            if reduced:
-                basis.append((min(reduced), reduced))
+            _reduce_column(column, basis)
         ranks.append(len(basis))
     return tuple(ranks)
 
