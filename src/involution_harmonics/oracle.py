@@ -11,53 +11,38 @@ partial matching with at most d pairs, without changing any span:
   above the diagonal, which is the indicator of a partial matching, or the
   zero function when its index pairs clash.
 
-The Young subgroup S_mu permutes the letters inside consecutive blocks of
-sizes mu_1, mu_2, ...  An S_mu-orbit of partial matchings is recorded by how
-many of its pairs join block b to block c.  The S_mu-invariants of the degree
-filtration F_d are spanned by orbit sums of the columns above, and an
-invariant function is fixed by its values on one point per orbit; the orbit
-sum of type m takes the value prod_k C(P[k], m[k]) on a point of type P.  So
-dim F_d^{S_mu} is an exact integer rank, and Young's rule
+A Young subgroup permutes the letters inside consecutive blocks, and an
+orbit of partial matchings is recorded by its type: how many of its pairs
+join block b to block c.  For a partition lambda and a split k, let
+alpha = (lambda_1, ..., lambda_k) and beta = (lambda_{k+1}, ...)'.  The
+blocks of S_alpha x S_beta are alpha's parts, then beta's, the sign blocks,
+and 1 (x) sgn is the sign of a permutation on the sign blocks.  By Young's
+rule and its image under omega (Macdonald I.5-I.6: e_mu is the sum of
+K(lambda', mu) s_lambda), dim Hom(1 (x) sgn, F_d) is the sum over rho of
+<h_alpha e_beta, s_rho> mult_rho(F_d), and s_lambda occurs in h_alpha e_beta
+exactly once.  k = len(lambda) gives the invariants of S_lambda, k = 0 the
+sign-twisted ones of S_lambda'.  An invariant is fixed by its values on one
+point per orbit, and only the orbits whose stabiliser is even on the sign
+blocks carry one; the projection of a monomial vanishes unless its matching
+keeps the same rules, so one lister serves rows and columns, and each entry
+is a signed product of binomials read off the row's type.
 
-    dim F_d^{S_mu} = sum over lambda of K(lambda, mu) * mult_lambda(F_d)
-
-recovers every multiplicity, because the Kostka matrix K is unitriangular in
-decreasing lexicographic order.  Its rows are integer, each built from the row
-of mu without its last part by the one Pieri enumerator; each row and each
-(shape, part) strip list is built once per process and shared by every row
-and every locus that needs it, and so is each count of orbit types.
-
-Full matchings give the indicators of point types, so at the top degree the
-invariants are all functions on the S_mu-orbits of points and dim F_top^{S_mu}
-is the number of orbit types, with no elimination; the types are counted, not
-listed.  Young's rule on these counts gives every ungraded multiplicity, and
-since each F_d lies in F_top, a lambda with ungraded multiplicity 0 has
-multiplicity 0 in every degree.  So ranks are eliminated only for the lambda
-that occur, from one of the two ends of Young's rule.  The high lambda are
-solved top-down from the ranks of S_lambda.  The low lambda, whose untwisted
-systems reach thousands of rows, are solved bottom-up from the sign-twisted
-ranks dim Hom_{S_mu}(sgn, F_d) = dim (F_d (x) sgn)^{S_mu} at mu = lambda'.
-Since mult_rho(F_d (x) sgn) = mult_rho'(F_d), these are Young's rule of
-F_d (x) sgn on the same rows K(rho, mu), keyed by lambda', and the keys it
-solves for are conjugated back (Macdonald I.6: e_mu is the sum of
-K(lambda', mu) s_lambda).  A point whose stabilizer in S_mu holds an odd
-permutation carries no sign-twisted function, so the twisted rows are the
-orbit types with no pair inside a block and at most one fixed point per
-block, and they are few when mu has few blocks.  They are not counted: at the
-top degree the twisted rank is their number, so Young's rule of F_top (x) sgn
-predicts it from the conjugated ungraded multiplicities.  A twisted column
-drops at most one pair of each class of a row of type P, so its entry is one
-signed product, +-prod P[k] over the dropped classes k, read off P's counts.
-The threshold between the two ends minimises the sum of the squared row
-counts.  The graded dimensions are Young's rule at mu = (1^n), the sum over
-lambda of K(lambda, 1^n) * mult_lambda(F_d), from the same multiplicities.
-`check basis` evaluates the candidates on the points of the locus, listed by
+At the top degree the rank of S_mu is the number of orbit types of points,
+counted, not listed, with no elimination, and Young's rule on these counts
+at every mu gives every ungraded multiplicity.  Each F_d lies in F_top, so
+only the lambda that occur get a system, and each gets one: the split with
+the fewest rows, predicted from the ungraded multiplicities before any
+listing.  One Young's-rule solve on the chosen mixed rows gives every graded
+multiplicity, and Young's rule at mu = (1^n) the graded dimensions.  Each
+row and each (shape, part) strip list is built once per process and shared
+by every locus, and so is each count of orbit types.  `check basis`
+evaluates the candidates on the points of the locus, listed by
 `involutions(n, a)`; their columns are 0/1, and a full rank over GF(2)
 certifies them before any exact elimination.
 
-Every list of untwisted types must be as long as its count and every list
-of twisted types as long as its prediction, every rank that is computed
-must saturate at the number of its point types by the top degree, every
+Every list of types must be as long as its prediction, every rank must
+saturate at the number of its point types by the top degree, every row must
+hold its own lambda exactly once, some order must solve the rows, every
 lambda's multiplicity at the top degree must equal its ungraded
 multiplicity, and every multiplicity, ungraded or graded, must be
 nonnegative; all are checked, never assumed.  The elimination is sparse,
@@ -70,9 +55,10 @@ non-zero one as a pivot, keyed on its lowest row.
 from __future__ import annotations
 
 from functools import cache
-from itertools import combinations
+from itertools import repeat
 from math import comb, gcd, prod
-from typing import Iterable
+from operator import itemgetter, mul
+from typing import Callable, Iterable, Iterator
 
 from .errors import (
     InvalidParametersError,
@@ -89,7 +75,7 @@ from .tableaux import candidate_basis
 DEFAULT_SIZE_CAP = 6
 
 # An orbit type of partial matchings: ((b, c), pairs joining block b to block c),
-# b <= c, blocks numbered from 0, zero counts left out.
+# b <= c, blocks numbered from 0, zero counts left out; (b, c) is a class.
 Matching = tuple[tuple[tuple[int, int], int], ...]
 
 # A sparse column: row index -> non-zero entry.
@@ -112,42 +98,50 @@ def oracle_size_cap(cap: int | None = None) -> int:
 
 
 def matchings_of_size(
-    mu: Partition, d: int, twisted: bool = False
+    blocks: tuple[int, ...], d: int, signs: int = 0
 ) -> tuple[Matching, ...]:
-    """The S_mu-orbit types of sets of d disjoint pairs of letters 1..n.
+    """The orbit types of sets of d disjoint pairs of letters 1..n, by blocks.
 
-    Block by block, the counts of the keys (b, b), (b, L-1), ..., (b, b+1)
-    are chosen, smallest count first and the last key varying fastest.  For
-    mu = (1^n) each type is one matching, and the order leaves letter b
-    unmatched first, then pairs it with its smallest partner first.  The
-    twisted types are those with no pair inside a block and at most one
-    letter of each block unmatched, in the same order; a branch stops once
-    it passes the last key of a block with two letters still free.
+    The blocks are consecutive runs of the letters, of the given sizes, and
+    the last `signs` of them are sign blocks.  Block by block, the counts of
+    the keys (b, b), (b, L-1), ..., (b, b+1) are chosen, smallest count
+    first and the last key varying fastest.  For blocks (1^n) each type is
+    one matching, and the order leaves letter b unmatched first, then pairs
+    it with its smallest partner first.  A type has no pair inside a sign
+    block, at most one pair in each class that joins another block to a
+    sign block, and at most one letter of each sign block unmatched: else a
+    transposition in a sign block, or (i i')(j j') on two such pairs, fixes
+    it and is odd on the sign blocks.  A branch stops once it passes the
+    last key of a sign block with two letters still free.
     """
+    first = len(blocks) - signs
+    # a pair fills at most two letters of the sign blocks, which keep one each
+    if sum(blocks[first:]) - signs > 2 * d:
+        return ()
+    # each key with a cap on its count: 1 where it joins another block to a sign block
     keys = [
-        (b, c)
-        for b in range(len(mu))
-        for c in (b, *range(len(mu) - 1, b, -1))
-        if not (twisted and b == c)
+        (b, c, 1 if b < first <= c else d)
+        for b in range(len(blocks))
+        for c in (b, *range(len(blocks) - 1, b, -1))
+        if b < first or b != c
     ]
-    free = list(mu)
+    free = list(blocks)
     out: list[Matching] = []
     acc: list[tuple[tuple[int, int], int]] = []
 
     def rec(k: int, need: int) -> None:
         if need == 0:
-            if not twisted or all(f <= 1 for f in free):
+            if not signs or max(free[first:]) <= 1:
                 out.append(tuple(acc))
             return
         if k == len(keys):
             return
-        b, c = keys[k]
-        # a twisted type leaves at most one letter of a block unmatched, and
+        b, c, cap = keys[k]
         # no key from here on touches block b - 1
-        if 2 * need > sum(free[b:]) or twisted and b and free[b - 1] > 1:
+        if 2 * need > sum(free[b:]) or b > first and free[b - 1] > 1:
             return
-        most = free[b] // 2 if b == c else min(free[b], free[c])
-        for m in range(min(most, need) + 1):
+        most = min(free[b] // 2, need) if b == c else min(free[b], free[c], cap, need)
+        for m in range(most + 1):
             if m:
                 acc.append(((b, c), m))
                 free[b] -= m
@@ -256,23 +250,57 @@ def _gf2_rank(columns: Iterable[int]) -> int:
     return len(pivots)
 
 
-def _column(m: Matching, rows: list[tuple[dict, frozenset]]) -> Column:
-    """The orbit sum of type m on each row P: prod_k C(P[k], m_k), zeros left out."""
-    keys = frozenset(k for k, _ in m)
-    return {
-        i: x
-        for i, (point, point_keys) in enumerate(rows)
-        if keys <= point_keys and (x := prod(comb(point[k], c) for k, c in m))
-    }
+def _columns(
+    blocks: tuple[int, ...], signs: int, top: int, types: tuple[Matching, ...]
+) -> Callable[[int], Iterator[Column]]:
+    """The columns of each degree d on the rows of the given top-degree types.
+
+    The column of type m holds, on the row of type P, the projection of m
+    onto 1 (x) sgn: prod_k C(P[k], m[k]) times (-1)^(sum over k in D of
+    after(k)), where D holds the classes that touch a sign block and lose a
+    pair, and after(k) counts the letters of k's sign blocks that come after
+    k's run.  Each block lists its letters class by class in P's order, then
+    its unmatched letter.  A sub-matching of type m leaves a sign block at
+    most one letter, so such a class loses at most one pair; which pairs a
+    class loses costs no sign, since swapping a kept and a lost pair is even
+    on the sign blocks, and the lost pair's letter moves to the end of each
+    of its sign blocks past after(k) letters.  Another listing order
+    multiplies a column by one sign, which changes no rank.  Zero entries
+    are left out.
+    """
+    first = len(blocks) - signs
+    rows = []
+    for t in types:
+        # the classes whose dropped pair moves an odd number of sign-block letters
+        odd = [
+            (k, p)
+            for i, (k, p) in enumerate(t)
+            if k[1] >= first
+            and sum(q for j, q in t[i + 1 :] for s in k if s >= first and s in j) % 2
+        ]
+        rows.append((dict(t), frozenset(k for k, _ in t), odd))
+
+    def columns(d: int) -> Iterator[Column]:
+        for m in types if d == top else matchings_of_size(blocks, d, signs):
+            kept = dict(m)
+            keys = kept.keys()
+            yield {
+                i: -x if odd and sum(kept.get(k, 0) < p for k, p in odd) % 2 else x
+                for i, (point, point_keys, odd) in enumerate(rows)
+                if keys <= point_keys and (x := prod(comb(point[k], c) for k, c in m))
+            }
+
+    return columns
 
 
 def _saturated(
-    n: int, a: int, mu: Partition, size: int, columns, what: str
+    n: int, a: int, lam: Partition, k: int, size: int, columns: Callable[[int], Iterable[Column]]
 ) -> tuple[int, ...]:
     """Cumulative ranks of columns(0), columns(1), ... up to the top degree.
 
-    The rank must reach the number of rows, `size` point types, by the top
-    degree; the columns of a degree are skipped once it has.
+    The rank of lam's system at split k must reach the number of rows, `size`
+    point types, by the top degree; the columns of a degree are skipped once
+    it has.
     """
     basis: list[tuple[int, Column]] = []
     ranks: list[int] = []
@@ -284,74 +312,10 @@ def _saturated(
         ranks.append(len(basis))
     if ranks[-1] != size:
         raise InvariantError(
-            f"{what}rank {ranks[-1]} at the top degree of n={n}, a={a}, mu={mu} "
-            f"does not reach the {size} {what}point types"
+            f"rank {ranks[-1]} at the top degree of n={n}, a={a}, lambda={lam}, k={k} "
+            f"does not reach the {size} point types"
         )
     return tuple(ranks)
-
-
-def _ranks(n: int, a: int, mu: Partition, types: tuple[Matching, ...]) -> tuple[int, ...]:
-    """dim F_d^{S_mu} for d = 0, 1, ..., (n - a) / 2, by exact elimination.
-
-    Rows are the given top-degree types of mu, columns the orbit sums of degree
-    <= d; the rank must reach the number of point types by the top degree.
-    """
-    rows = [(dict(p), frozenset(k for k, _ in p)) for p in types]
-
-    def columns(d: int) -> Iterable[Column]:
-        return (_column(m, rows) for m in matchings_of_size(mu, d))
-
-    return _saturated(n, a, mu, len(rows), columns, "")
-
-
-def _twisted_ranks(
-    n: int, a: int, mu: Partition, types: tuple[Matching, ...]
-) -> tuple[int, ...]:
-    """dim Hom_{S_mu}(sgn, F_d) for d = 0, 1, ..., (n - a) / 2, by exact elimination.
-
-    Rows are the given twisted top-degree types P.  The sign projection of
-    a degree-d monomial vanishes unless its matching is twisted, and on a
-    row it sums signs over the d-subsets of the row's pairs of its type that
-    leave at most one letter of each block unmatched.  Such a subset drops at
-    most one pair of each class (b, c), from a set D of top - d classes whose
-    blocks are distinct and hold no unmatched letter, so its type is
-    m = P - 1_D and there are prod_{k in D} P[k] of them.  They share one
-    sign: swapping a kept and a dropped pair of one class is (i i')(j j'),
-    and re-sorting that class's run at both ends is even too.  With each
-    block's letters listed class by class in P's order, then its unmatched
-    letter, the sign is (-1)^(sum over k in D of after(k)), where after(k)
-    counts the letters of k's two blocks after k's run.  Another listing
-    order multiplies each column by one fixed sign, which changes no rank.
-    So each (row, D) gives one entry, never 0.
-    """
-    top = (n - a) // 2
-    rows = []
-    for t in types:
-        used = [0] * len(mu)
-        for (b, c), p in t:
-            used[b] += p
-            used[c] += p
-        # the classes that may drop a pair: (k, P[k], after(k) mod 2)
-        droppable = [
-            (k, p, sum(q for j, q in t[i + 1 :] if k[0] in j or k[1] in j) % 2)
-            for i, (k, p) in enumerate(t)
-            if used[k[0]] == mu[k[0]] and used[k[1]] == mu[k[1]]
-        ]
-        rows.append((t, droppable))
-
-    def columns(d: int) -> list[Column]:
-        out: dict[Matching, Column] = {}
-        for r, (t, droppable) in enumerate(rows):
-            for dropped in combinations(droppable, top - d):
-                keys = [k for k, _, _ in dropped]
-                if len({x for k in keys for x in k}) < 2 * len(keys):
-                    continue
-                m = tuple((k, p - (k in keys)) for k, p in t if p - (k in keys))
-                x = prod(p for _, p, _ in dropped)
-                out.setdefault(m, {})[r] = -x if sum(s for _, _, s in dropped) % 2 else x
-        return [col for _, col in sorted(out.items())]
-
-    return _saturated(n, a, mu, len(rows), columns, "twisted ")
 
 
 @cache
@@ -359,71 +323,94 @@ def _strips(lam: Partition, part: int) -> tuple[Partition, ...]:
     """The outer shapes of the horizontal strips of `part` boxes over lam.
 
     The cache is unbounded: it keeps every (shape, part) asked for, for the
-    life of the process; the rows of the partitions of 18 ask for 2,308 of
+    life of the process; planning every locus of n = 18 asks for 3,047 of
     them.
     """
     return tuple(horizontal_strips_over(lam, part))
 
 
 @cache
-def _kostka_row(mu: Partition) -> dict[Partition, int]:
-    """{lambda: K(lambda, mu)}: the row of mu[:-1] pushed through the last part.
+def _mixed_row(alpha: Partition, beta: Partition) -> dict[Partition, int]:
+    """{lambda: <h_alpha e_beta, s_lambda>}: the row of alpha[:-1] pushed through the last part.
 
-    The cache is unbounded: it keeps the row of every partition asked for and
-    of each of its prefixes, for the life of the process.  With the strip
-    lists the rows hold about 3.3 MiB once every partition of 16 is asked
-    for and 9.0 MiB at 18.  Callers share the rows and must not change them.
+    With no beta it is the Kostka row {lambda: K(lambda, alpha)} of h_alpha.
+    With no alpha it is the row of e_beta, the sum of K(nu, beta) s_nu'
+    (Macdonald I.6), so the Kostka row of beta with its shapes conjugated.
+    The cache is unbounded: it keeps the row of every pair asked for and of
+    each prefix of its alpha, for the life of the process.  With the strip
+    lists the rows hold about 4.8 MiB once every locus of n = 16 is planned
+    and 12.3 MiB at 18.  Callers share the rows and must not change them.
     """
-    if not mu:
-        return {(): 1}
-    out: dict[Partition, int] = {}
-    for lam, k in _kostka_row(mu[:-1]).items():
-        for outer in _strips(lam, mu[-1]):
-            out[outer] = out.get(outer, 0) + k
-    return out
+    if alpha:
+        out: dict[Partition, int] = {}
+        for lam, k in _mixed_row(alpha[:-1], beta).items():
+            for outer in _strips(lam, alpha[-1]):
+                out[outer] = out.get(outer, 0) + k
+        return out
+    if beta:
+        return {conjugate(nu): k for nu, k in _mixed_row(beta, ()).items()}
+    return {(): 1}
 
 
-def _young_decomposition(ranks: dict[Partition, tuple[int, ...]]) -> SchurPoly:
+def _young_decomposition(
+    systems: dict[Partition, tuple[int, dict[Partition, int], tuple[int, ...]]]
+) -> SchurPoly:
     """Graded multiplicities from invariant ranks, by Young's rule.
 
-    The rank of mu is the sum over lambda of K(lambda, mu) times the
-    cumulative multiplicity of lambda, read off the cached row of mu, and
-    K(mu, mu) = 1.  `ranks` lists partitions so that every other lambda with
-    K(lambda, mu) != 0 comes before mu; a partition left out is taken to have
-    multiplicity 0 in every degree.
+    systems[lam] = (k, row, ranks): ranks[d] is the sum over rho of row[rho]
+    times the cumulative multiplicity of rho in F_d, where row is the mixed
+    row of lam's split at k on the partitions that have a system, and
+    row[lam] must be 1.  Each system is solved after the other systems its
+    row names, so these must not name it in turn.  A partition with no
+    system is taken to have multiplicity 0 in every degree.
     """
+    # lam -> its cumulative multiplicities, or [] while its own solve is open
     filtration: dict[Partition, list[int]] = {}
     out: SchurPoly = {}
-    for mu, r in ranks.items():
-        row = _kostka_row(mu)
-        cumulative = list(r)
-        for lam, mult in filtration.items():
-            k = row.get(lam, 0)
+
+    def solve(lam: Partition) -> list[int]:
+        k, row, ranks = systems[lam]
+        if row.get(lam) != 1:
+            raise InvariantError(
+                f"the row of lambda={lam} at k={k} holds it {row.get(lam, 0)} times, not once"
+            )
+        filtration[lam] = []
+        cumulative = list(ranks)
+        for rho, x in row.items():
+            mult = filtration.get(rho)
+            if mult is None:
+                mult = solve(rho)
+            elif not mult:
+                if rho == lam:
+                    continue
+                raise InvariantError(
+                    f"no order solves lambda={lam} at k={k}: its row needs lambda={rho}, "
+                    f"whose row needs it in turn"
+                )
             for d, m in enumerate(mult):
-                cumulative[d] -= k * m
-        filtration[mu] = cumulative
+                cumulative[d] -= x * m
+        filtration[lam] = cumulative
         graded = [m - (cumulative[d - 1] if d else 0) for d, m in enumerate(cumulative)]
         if any(m < 0 for m in graded):
-            raise InvariantError(f"negative multiplicity of {mu}: {graded}")
+            raise InvariantError(f"negative multiplicity of lambda={lam} at k={k}: {graded}")
         if any(graded):
-            out[mu] = qp_normal(graded)
+            out[lam] = qp_normal(graded)
+        return cumulative
+
+    for lam in systems:
+        if lam not in filtration:
+            solve(lam)
     return out
 
 
 def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
     """The graded Frobenius expansion and the Hilbert series.
 
-    Young's rule on the top-degree type counts gives the ungraded
-    multiplicities, and Young's rule of F_top (x) sgn, which holds
-    s_lambda' as often as F_top holds s_lambda, gives the twisted type
-    counts.  The occurring lambda are then split at the threshold that
-    minimises the sum of squared row counts: those at or above it are solved
-    top-down from the ranks of S_lambda, those below it bottom-up from the
-    sign-twisted ranks of S_lambda', keyed by lambda' as the ranks of
-    F_d (x) sgn, on the same Kostka rows.  Taken in increasing order of
-    lambda, every rho with K(rho, lambda') != 0 in that set comes before
-    lambda': rho dominates lambda', so rho' is dominated by lambda and is
-    lexicographically at most lambda.
+    Young's rule on the top-degree type counts of every S_mu gives the
+    ungraded multiplicities.  Each lambda that occurs then gets the split
+    whose system of S_alpha x S_beta has the fewest rows, as predicted from
+    them; a split between two equal parts is not tried.  One Young's-rule
+    solve on the mixed rows gives the graded multiplicities.
     """
     check_locus_params(n, a)
     cap = oracle_size_cap(size_cap)
@@ -432,45 +419,47 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
             f"n={n} exceeds the oracle size cap {cap}; raise it with --cap or size_cap="
         )
     top = (n - a) // 2
-    counts = {mu: _count(mu, top) for mu in partitions_of(n)}
-    ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()})
-    occurring = list(ungraded)
-    # the ungraded multiplicities of F_top (x) sgn, keyed by lambda'
-    omega = {conjugate(lam): mult for lam, (mult,) in ungraded.items()}
-    conjugates = list(omega)
-    twisted_counts = {
-        mu: sum(_kostka_row(mu).get(rho, 0) * m for rho, m in omega.items()) for mu in omega
-    }
-    costs = [
-        sum(counts[lam] ** 2 for lam in occurring[:s])
-        + sum(twisted_counts[mu] ** 2 for mu in conjugates[s:])
-        for s in range(len(occurring) + 1)
-    ]
-    split = costs.index(min(costs))
-    frobenius: SchurPoly = {}
-    for twisted, keys, counted, solve in (
-        (False, occurring[:split], counts, _ranks),
-        (True, conjugates[split:][::-1], twisted_counts, _twisted_ranks),
-    ):
-        what = "twisted " if twisted else ""
-        ranks = {}
-        for mu in keys:
-            types = matchings_of_size(mu, top, twisted)
-            if len(types) != counted[mu]:
-                raise InvariantError(
-                    f"{len(types)} {what}top-degree types of n={n}, a={a}, mu={mu} "
-                    f"listed, {counted[mu]} counted"
-                )
-            ranks[mu] = solve(n, a, mu, types)
-        for lam, coeff in _young_decomposition(ranks).items():
-            frobenius[conjugate(lam) if twisted else lam] = coeff
-    for lam, (mult,) in ungraded.items():
-        if sum(frobenius.get(lam, ())) != mult:
-            raise InvariantError(
-                f"top-degree multiplicity {sum(frobenius.get(lam, ()))} of {lam} "
-                f"at n={n}, a={a} differs from its ungraded multiplicity {mult}"
+    ungraded = _young_decomposition(
+        {mu: (len(mu), _mixed_row(mu, ()), (_count(mu, top),)) for mu in partitions_of(n)}
+    )
+    mult = {lam: m for lam, (m,) in ungraded.items()}
+    # omega swaps h and e, so <h_alpha e_beta, s_rho> = <h_beta e_alpha, s_rho'>:
+    # a row is read in the order whose shorter side is conjugated
+    same, omega, weights = list(mult), [conjugate(lam) for lam in mult], list(mult.values())
+    systems = {}
+    for lam in mult:
+        plans = []
+        for k in range(len(lam) + 1):
+            if 0 < k < len(lam) and lam[k - 1] == lam[k]:
+                continue
+            alpha, beta = lam[:k], conjugate(lam[k:])
+            full, keys = (
+                (_mixed_row(alpha, beta), same)
+                if len(alpha) >= len(beta)
+                else (_mixed_row(beta, alpha), omega)
             )
-    dims = _kostka_row((1,) * n)
+            size = sum(map(mul, map(full.get, keys, repeat(0)), weights))
+            plans.append((size, k, full, keys))
+        size, k, full, keys = min(plans, key=itemgetter(0, 1))
+        # the row on the lambda that occur, the only ones that get a system
+        row = {rho: x for rho, key in zip(same, keys) if (x := full.get(key))}
+        alpha, beta = lam[:k], conjugate(lam[k:])
+        types = matchings_of_size(alpha + beta, top, len(beta))
+        if len(types) != size:
+            raise InvariantError(
+                f"{len(types)} top-degree types of n={n}, a={a}, lambda={lam}, k={k} "
+                f"listed, {size} predicted"
+            )
+        columns = _columns(alpha + beta, len(beta), top, types)
+        systems[lam] = (k, row, _saturated(n, a, lam, k, size, columns))
+    frobenius = _young_decomposition(systems)
+    for lam, (k, _, _) in systems.items():
+        if sum(frobenius.get(lam, ())) != mult[lam]:
+            raise InvariantError(
+                f"top-degree multiplicity {sum(frobenius.get(lam, ()))} of lambda={lam} "
+                f"at n={n}, a={a}, k={k} differs from its ungraded multiplicity {mult[lam]}"
+            )
+    dims = _mixed_row((1,) * n, ())
     acc: dict[Partition, list[int]] = {}
     for lam, coeff in frobenius.items():
         _add_into(acc, (), [dims[lam] * c for c in coeff])

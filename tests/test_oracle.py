@@ -22,13 +22,13 @@ from involution_harmonics.errors import (
 from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
 from involution_harmonics.involutions import count_involutions, involutions
 from involution_harmonics.oracle import (
+    _columns,
     _count,
     _gf2_rank,
-    _kostka_row,
+    _mixed_row,
     _oracle,
-    _ranks,
     _reduce_column,
-    _twisted_ranks,
+    _saturated,
     _young_decomposition,
     graded_hilbert,
     matchings_of_size,
@@ -47,17 +47,38 @@ def valid_params(max_n):
             yield n, a
 
 
+def splits(lam):
+    """(alpha, beta) = (lam[:k], lam[k:]') for every k from 0 to len(lam)."""
+    return [(lam[:k], conjugate(lam[k:])) for k in range(len(lam) + 1)]
+
+
+def mixed_ranks(n, a, alpha, beta):
+    """dim Hom_{S_alpha x S_beta}(1 (x) sgn, F_d) by exact elimination."""
+    top = (n - a) // 2
+    blocks = alpha + beta
+    types = matchings_of_size(blocks, top, len(beta))
+    columns = _columns(blocks, len(beta), top, types)
+    return _saturated(n, a, alpha + conjugate(beta), len(alpha), len(types), columns)
+
+
 def invariant_ranks(n, a, mu):
     """dim F_d^{S_mu} by exact elimination, after checking n, a and mu."""
     check_locus_params(n, a)
     if sum(mu) != n:
         raise DomainViolationError(f"{mu} is not a composition of {n}")
-    return _ranks(n, a, mu, matchings_of_size(mu, (n - a) // 2))
+    return mixed_ranks(n, a, mu, ())
+
+
+def ungraded_multiplicities(n, a):
+    """{lambda: multiplicity in F_top}, by Young's rule on the type counts of every S_mu."""
+    top = (n - a) // 2
+    systems = {mu: (len(mu), _mixed_row(mu, ()), (_count(mu, top),)) for mu in partitions_of(n)}
+    return {lam: m for lam, (m,) in _young_decomposition(systems).items()}
 
 
 def kostka_rows(n):
     """{mu: {lambda: K(lambda, mu)}} for every mu of n, the cached rows."""
-    return {mu: _kostka_row(mu) for mu in partitions_of(n)}
+    return {mu: _mixed_row(mu, ()) for mu in partitions_of(n)}
 
 
 def type_counts(mus, d):
@@ -139,17 +160,22 @@ def test_invariant_ranks_saturate_at_the_orbit_count():
             assert invariant_ranks(n, a, mu)[-1] == len(matchings_of_size(mu, top))
 
 
-def test_twisted_types():
-    # blocks {1,2,3}, {4,5}, {6,7}: three pairs across blocks leave one letter
-    assert matchings_of_size((3, 2, 2), 3, twisted=True) == (
+def test_sign_types():
+    # sign blocks {1,2,3}, {4,5}, {6,7}: three pairs across blocks leave one letter
+    assert matchings_of_size((3, 2, 2), 3, 3) == (
         (((0, 2), 1), ((0, 1), 1), ((1, 2), 1)),
         (((0, 2), 1), ((0, 1), 2)),
         (((0, 2), 2), ((0, 1), 1)),
     )
-    # a pair inside the one block, or two letters of it unmatched
-    assert matchings_of_size((4,), 2, twisted=True) == ()
-    assert matchings_of_size((4,), 1, twisted=True) == ()
-    assert matchings_of_size((1,) * 4, 2, twisted=True) == matchings_of_size((1,) * 4, 2)
+    # a pair inside the one sign block, or two letters of it unmatched
+    assert matchings_of_size((4,), 2, 1) == ()
+    assert matchings_of_size((4,), 1, 1) == ()
+    assert matchings_of_size((1,) * 4, 2, 4) == matchings_of_size((1,) * 4, 2)
+    # blocks {1,2} and the sign block {3,4}: one pair joins them, and the
+    # second letter of the sign block stays unmatched
+    assert matchings_of_size((2, 2), 1, 1) == ((((0, 1), 1),),)
+    assert matchings_of_size((2, 2), 2, 1) == ()
+    assert matchings_of_size((2, 2), 2) == ((((0, 1), 2),), (((0, 0), 1), ((1, 1), 1)))
 
 
 def test_type_counts_match_the_listed_types():
@@ -161,41 +187,47 @@ def test_type_counts_match_the_listed_types():
                 assert counts[(1,) * n] == count_involutions(n, n - 2 * d)
 
 
-def fits_the_sign(mu, t):
-    """Whether type t has no pair inside a block and leaves at most one letter of each unmatched."""
-    free = list(mu)
+def fits_the_sign(blocks, signs, t):
+    """Whether type t keeps the rules of the sign blocks, the last `signs` of the blocks.
+
+    No pair inside a sign block, at most one pair in a class that joins
+    another block to a sign block, and at most one letter of each sign block
+    unmatched.
+    """
+    first = len(blocks) - signs
+    free = list(blocks)
     for (b, c), m in t:
         free[b] -= m
         free[c] -= m
-    return all(b != c for (b, c), _ in t) and all(f <= 1 for f in free)
+        if c >= first and (b == c or b < first and m > 1):
+            return False
+    return all(f <= 1 for f in free[first:])
 
 
-def test_twisted_counts_match_the_listed_twisted_types():
-    # Young's rule of F_top (x) sgn, whose multiplicity of lambda' is that of
-    # lambda in F_top, for every mu, not only the conjugates of the lambda that occur;
-    # each list is, in order, the untwisted types that fit the sign
+def test_predicted_counts_match_the_listed_sign_types():
+    # Young's rule of F_top on the mixed rows, for every split of every lambda,
+    # not only those the oracle plans; each list is, in order, the types
+    # without sign blocks that fit the sign
     cases = 0
     for n in range(1, 11):
-        kostka = kostka_rows(n)
-        mus = partitions_of(n)
         for a in range(n % 2, n + 1, 2):
             top = (n - a) // 2
-            counts = type_counts(mus, top)
-            ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()})
-            omega = {conjugate(nu): mult for nu, (mult,) in ungraded.items()}
-            twisted = {
-                mu: sum(kostka[mu].get(rho, 0) * m for rho, m in omega.items()) for mu in mus
-            }
-            listed = {mu: matchings_of_size(mu, top, twisted=True) for mu in mus}
-            assert listed == {
-                mu: tuple(t for t in matchings_of_size(mu, top) if fits_the_sign(mu, t))
-                for mu in mus
-            }
-            assert twisted == {mu: len(types) for mu, types in listed.items()}
-            # S_(1^n) is trivial, so the sign twist changes nothing there
-            assert twisted[(1,) * n] == counts[(1,) * n]
-            cases += len(mus)
-    assert cases == 663
+            mult = ungraded_multiplicities(n, a)
+            for lam in partitions_of(n):
+                for alpha, beta in splits(lam):
+                    blocks = alpha + beta
+                    listed = matchings_of_size(blocks, top, len(beta))
+                    assert listed == tuple(
+                        t for t in matchings_of_size(blocks, top)
+                        if fits_the_sign(blocks, len(beta), t)
+                    )
+                    row = _mixed_row(alpha, beta)
+                    assert len(listed) == sum(row.get(rho, 0) * m for rho, m in mult.items())
+                    cases += 1
+            # S_(1^n) is trivial, so the split k = 0 of (n), all sign blocks, lists every point
+            ones = (1,) * n
+            assert matchings_of_size(ones, top, n) == matchings_of_size(ones, top)
+    assert cases == 3356
 
 
 def run_optimized(code):
@@ -217,8 +249,8 @@ NAMES = ("graded_hilbert", "oracle_graded_frobenius", "verify_monomial_basis")
 
 def test_oracle_raises_when_optimized_and_a_type_count_is_off():
     # one more type of S_(1^4) than there are is one copy of the sign
-    # representation, which Young's rule under omega then predicts as a
-    # twisted type of S_(4) that the lister does not find
+    # representation, which the mixed rows then predict as a sign type
+    # that the lister does not find
     code = (
         "import involution_harmonics.oracle as o\n"
         "from involution_harmonics.errors import InvariantError\n"
@@ -228,27 +260,27 @@ def test_oracle_raises_when_optimized_and_a_type_count_is_off():
         "o._count = miscount\n"
     ) + ENTRY_POINTS
     assert run_optimized(code) == [
-        f"{name} raised: 0 twisted top-degree types of n=4, a=0, mu=(4,) listed, 1 counted"
+        f"{name} raised: 1 top-degree types of n=4, a=0, lambda=(2, 2), k=0 listed, 2 predicted"
         for name in NAMES
     ]
 
 
 @pytest.mark.parametrize(
-    "twisted, message",
+    "signs, message",
     [
-        (False, "0 top-degree types of n=4, a=0, mu=(4,) listed, 1 counted"),
-        (True, "0 twisted top-degree types of n=4, a=0, mu=(2, 2) listed, 1 counted"),
+        (False, "0 top-degree types of n=4, a=0, lambda=(4,), k=1 listed, 1 predicted"),
+        (True, "0 top-degree types of n=4, a=0, lambda=(2, 2), k=0 listed, 1 predicted"),
     ],
 )
-def test_oracle_raises_when_optimized_and_a_type_list_is_short(twisted, message):
-    # at (4, 0) the oracle solves s_(4) from S_(4) and s_(2,2) from the twisted S_(2,2)
+def test_oracle_raises_when_optimized_and_a_type_list_is_short(signs, message):
+    # at (4, 0) the oracle solves s_(4) from S_(4) and s_(2,2) from S_(2,2) on the sign
     code = (
         "import involution_harmonics.oracle as o\n"
         "from involution_harmonics.errors import InvariantError\n"
         "real = o.matchings_of_size\n"
-        "def short(mu, d, twisted=False):\n"
-        "    types = real(mu, d, twisted)\n"
-        f"    return types[1:] if twisted is {twisted} else types\n"
+        "def short(blocks, d, signs=0):\n"
+        "    types = real(blocks, d, signs)\n"
+        f"    return types[1:] if bool(signs) is {signs} else types\n"
         "o.matchings_of_size = short\n"
     ) + ENTRY_POINTS
     assert run_optimized(code) == [f"{name} raised: {message}" for name in NAMES]
@@ -270,18 +302,84 @@ def test_basis_check_raises_when_optimized_and_a_point_is_missing():
     assert run_optimized(code) == ["2 points of n=4, a=0 listed, graded dimensions sum to 3"]
 
 
-def test_oracle_raises_when_optimized_and_the_twisted_rank_falls_short():
-    # with no set of dropped classes no twisted column is built
+def test_oracle_raises_when_optimized_and_a_rank_falls_short():
+    # with every binomial 0 only the constant column has an entry, and the
+    # projection of a constant onto the sign of S_(2,2) vanishes
     code = (
         "import involution_harmonics.oracle as o\n"
         "from involution_harmonics.errors import InvariantError\n"
-        "o.combinations = lambda items, r: iter(())\n"
+        "o.comb = lambda n, k: 0\n"
     ) + ENTRY_POINTS
     assert run_optimized(code) == [
-        f"{name} raised: twisted rank 0 at the top degree of n=4, a=0, mu=(2, 2) "
-        "does not reach the 1 twisted point types"
+        f"{name} raised: rank 0 at the top degree of n=4, a=0, lambda=(2, 2), k=0 "
+        "does not reach the 1 point types"
         for name in NAMES
     ]
+
+
+# ranks of the system of s_(4) at (4, 0), which are (1, 1), changed after
+# the elimination: s_(2,2) is solved from S_(2,2) on the sign, whose row
+# names no other lambda that occurs, so only s_(4) is affected
+CHANGED_RANKS = (
+    "import involution_harmonics.oracle as o\n"
+    "from involution_harmonics.errors import InvariantError\n"
+    "real = o._saturated\n"
+    "def changed(n, a, lam, k, size, columns):\n"
+    "    ranks = real(n, a, lam, k, size, columns)\n"
+    "    return {ranks} if lam == (4,) else ranks\n"
+    "o._saturated = changed\n"
+)
+
+
+@pytest.mark.parametrize(
+    "ranks, message",
+    [
+        (
+            "(1, 2)",
+            "top-degree multiplicity 2 of lambda=(4,) at n=4, a=0, k=1 "
+            "differs from its ungraded multiplicity 1",
+        ),
+        ("(1, 0)", "negative multiplicity of lambda=(4,) at k=1: [1, -1]"),
+    ],
+)
+def test_oracle_raises_when_optimized_and_a_solved_multiplicity_is_off(ranks, message):
+    code = CHANGED_RANKS.format(ranks=ranks) + ENTRY_POINTS
+    assert run_optimized(code) == [f"{name} raised: {message}" for name in NAMES]
+
+
+# a Kostka row of the partitions of 4 changed before the ungraded solve,
+# which runs through the one Young's-rule solve as the splits k = len(mu)
+CHANGED_ROW = (
+    "import involution_harmonics.oracle as o\n"
+    "from involution_harmonics.errors import InvariantError\n"
+    "real = o._mixed_row\n"
+    "def changed(alpha, beta):\n"
+    "    row = real(alpha, beta)\n"
+    "    return {{**row, **{entries}}} if (alpha, beta) == ({mu}, ()) else row\n"
+    "o._mixed_row = changed\n"
+)
+
+
+@pytest.mark.parametrize(
+    "mu, entries, message",
+    [
+        (
+            (1, 1, 1, 1),
+            {(1, 1, 1, 1): 2},
+            "the row of lambda=(1, 1, 1, 1) at k=4 holds it 2 times, not once",
+        ),
+        (
+            (4,),
+            {(3, 1): 1},
+            "no order solves lambda=(3, 1) at k=2: its row needs lambda=(4,), "
+            "whose row needs it in turn",
+        ),
+    ],
+)
+def test_oracle_raises_when_optimized_and_a_row_cannot_be_solved(mu, entries, message):
+    # a diagonal entry that is not 1, and two rows that each name the other
+    code = CHANGED_ROW.format(mu=mu, entries=entries) + ENTRY_POINTS
+    assert run_optimized(code) == [f"{name} raised: {message}" for name in NAMES]
 
 
 def reference_complete(mu):
@@ -321,8 +419,44 @@ def test_kostka_rows_without_the_pieri_enumerator():
             assert sum(k * syt_count(lam) for lam, k in row.items()) == multinomial
 
 
+def test_mixed_rows_without_the_pieri_enumerator():
+    cases = 0
+    for n in range(1, 13):
+        for lam in partitions_of(n):
+            for alpha, beta in splits(lam):
+                row = _mixed_row(alpha, beta)
+                assert row[lam] == 1
+                assert all(k > 0 for k in row.values())
+                # h_alpha e_beta is the character of 1 (x) sgn induced from S_alpha x S_beta
+                index = factorial(n) // prod(factorial(part) for part in alpha + beta)
+                assert sum(k * syt_count(rho) for rho, k in row.items()) == index
+                cases += 1
+    assert cases == 1482
+
+
+def test_mixed_rows_are_the_omega_images_of_the_swapped_rows():
+    # omega(h_alpha e_beta) = e_alpha h_beta, so the row with alpha and beta
+    # swapped is the row with its shapes conjugated; the oracle reads each
+    # row from the order that conjugates its shorter side
+    for n in range(1, 10):
+        for lam in partitions_of(n):
+            for alpha, beta in splits(lam):
+                swapped = _mixed_row(beta, alpha)
+                assert _mixed_row(alpha, beta) == {conjugate(rho): k for rho, k in swapped.items()}
+
+
+def mixed_rows(n):
+    """{(alpha, beta): row} for every split of every lambda of n, in both orders."""
+    return {
+        pair: _mixed_row(*pair)
+        for lam in partitions_of(n)
+        for alpha, beta in splits(lam)
+        for pair in ((alpha, beta), (beta, alpha))
+    }
+
+
 def clear_plan_caches():
-    for cached in (oracle._count, oracle._kostka_row, oracle._strips):
+    for cached in (oracle._count, oracle._mixed_row, oracle._strips):
         cached.cache_clear()
 
 
@@ -335,26 +469,51 @@ def test_shared_rows_stay_unchanged_and_results_do_not_depend_on_call_order():
         )
 
     clear_plan_caches()
-    rows = {n: copy.deepcopy(kostka_rows(n)) for n in range(1, 9)}
+    # the Kostka rows are the splits with no sign block
+    rows = {n: copy.deepcopy(mixed_rows(n)) for n in range(1, 9)}
     # largest n first, so each smaller locus reads rows and counts a larger one cached
     loci = sorted(valid_params(8), reverse=True)
     shared = {locus: results(*locus) for locus in loci}
-    assert {n: kostka_rows(n) for n in rows} == rows
+    assert {n: mixed_rows(n) for n in rows} == rows
     for locus in loci:
         clear_plan_caches()
         assert results(*locus) == shared[locus], locus
 
 
+def kostka_systems(ranks):
+    """{mu: (len(mu), the Kostka row of mu on the keys of ranks, ranks of mu)}."""
+    return {
+        mu: (len(mu), {lam: k for lam, k in _mixed_row(mu, ()).items() if lam in ranks}, r)
+        for mu, r in ranks.items()
+    }
+
+
 def test_young_decomposition_rejects_a_negative_multiplicity():
     # h_(1,1) = s_(2) + s_(1,1), so rank 1 of S_(1,1) with rank 2 of S_(2) is impossible
-    with pytest.raises(InvariantError):
-        _young_decomposition({(2,): (2,), (1, 1): (1,)})
+    with pytest.raises(InvariantError, match="negative"):
+        _young_decomposition(kostka_systems({(2,): (2,), (1, 1): (1,)}))
     # a multiplicity that falls from one degree to the next
-    with pytest.raises(InvariantError):
-        _young_decomposition({(2,): (1, 0), (1, 1): (1, 1)})
-    assert _young_decomposition({(2,): (1, 1), (1, 1): (1, 2)}) == {
+    with pytest.raises(InvariantError, match="negative"):
+        _young_decomposition(kostka_systems({(2,): (1, 0), (1, 1): (1, 1)}))
+    assert _young_decomposition(kostka_systems({(2,): (1, 1), (1, 1): (1, 2)})) == {
         (2,): (1,), (1, 1): (0, 1)
     }
+
+
+def test_young_decomposition_finds_the_order_or_raises():
+    # e_(2) = s_(1,1), so the split k = 0 of (1, 1) names no other lambda;
+    # h_(1,1) = s_(2) + s_(1,1), so the split k = 2 needs (2) solved first,
+    # though it comes first
+    h_2 = (1, {(2,): 1}, (1, 1))
+    want = {(2,): (1,), (1, 1): (0, 1)}
+    assert _young_decomposition({(1, 1): (0, {(1, 1): 1}, (0, 1)), (2,): h_2}) == want
+    assert _young_decomposition({(1, 1): (2, {(2,): 1, (1, 1): 1}, (1, 2)), (2,): h_2}) == want
+    # two rows that each name the other, and a row that does not hold its lambda
+    cycle = {lam: (len(lam), {(2,): 1, (1, 1): 1}, (1,)) for lam in ((1, 1), (2,))}
+    with pytest.raises(InvariantError, match="needs it in turn"):
+        _young_decomposition(cycle)
+    with pytest.raises(InvariantError, match="holds it 0 times"):
+        _young_decomposition({(2,): (1, {(1, 1): 1}, (1,))})
 
 
 def fraction_rank(columns):
@@ -459,7 +618,7 @@ def reference_oracle(n, a):
     ranks = {mu: invariant_ranks(n, a, mu) for mu in partitions_of(n)}
     identity = ranks[(1,) * n]
     hilbert = qp_normal(r - (identity[d - 1] if d else 0) for d, r in enumerate(identity))
-    return _young_decomposition(ranks), hilbert
+    return _young_decomposition(kostka_systems(ranks)), hilbert
 
 
 def test_oracle_equals_the_all_subgroup_reference():
@@ -472,10 +631,8 @@ def test_oracle_equals_the_all_subgroup_reference():
 
 def untwisted_oracle(n, a):
     """Every occurring lambda solved top-down from the ranks of S_lambda."""
-    counts = type_counts(partitions_of(n), (n - a) // 2)
-    ungraded = _young_decomposition({mu: (c,) for mu, c in counts.items()})
-    ranks = {lam: invariant_ranks(n, a, lam) for lam in ungraded}
-    return _young_decomposition(ranks)
+    ranks = {lam: invariant_ranks(n, a, lam) for lam in ungraded_multiplicities(n, a)}
+    return _young_decomposition(kostka_systems(ranks))
 
 
 def test_oracle_equals_the_untwisted_solve():
@@ -483,29 +640,33 @@ def test_oracle_equals_the_untwisted_solve():
         assert oracle_graded_frobenius(n, a, size_cap=8) == untwisted_oracle(n, a)
 
 
-def test_oracle_solves_from_both_ends(monkeypatch):
-    # the rows of every system eliminated at (9, 3): 231 from the untwisted end alone
+def test_oracle_solves_each_lambda_from_its_cheapest_split(monkeypatch):
+    # the rows of every system eliminated at (9, 3): 64 from the cheapest
+    # splits, against 231 from the splits with no sign block
     calls = []
-    for name in ("_ranks", "_twisted_ranks"):
-        def spy(n, a, mu, types, real=getattr(oracle, name), name=name):
-            calls.append((name, len(types)))
-            return real(n, a, mu, types)
-        monkeypatch.setattr(oracle, name, spy)
+
+    def spy(n, a, lam, k, size, columns, real=oracle._saturated):
+        calls.append((lam, k, size))
+        return real(n, a, lam, k, size, columns)
+
+    monkeypatch.setattr(oracle, "_saturated", spy)
     occurring = _oracle(9, 3, 9)[0]
-    assert {name for name, _ in calls} == {"_ranks", "_twisted_ranks"}
-    assert sum(rows for _, rows in calls) == 80
+    assert sorted(lam for lam, _, _ in calls) == sorted(occurring)
+    assert sum(size for _, _, size in calls) == 64
+    assert any(0 < k < len(lam) for lam, k, _ in calls)
     assert sum(type_counts(occurring, 3).values()) == 231
 
 
-def young_subgroup(mu):
-    """Each element of S_mu as a dict on letters 1..n, with its sign."""
+def young_subgroup(alpha, beta):
+    """Each element of S_alpha x S_beta as a dict on letters 1..n, with its sign on beta."""
     blocks, start = [], 1
-    for part in mu:
+    for part in alpha + beta:
         blocks.append(range(start, start + part))
         start += part
     for images in product(*(permutations(block) for block in blocks)):
-        word = [x for image in images for x in image]
-        yield dict(zip(range(1, start), word)), sign_of(word)
+        word = [x for image in images[len(alpha) :] for x in image]
+        sigma = dict(zip(range(1, start), (x for image in images for x in image)))
+        yield sigma, sign_of(word)
 
 
 def sign_of(word):
@@ -513,13 +674,15 @@ def sign_of(word):
     return (-1) ** sum(x > y for i, x in enumerate(word) for y in word[i + 1 :])
 
 
-def sign_projection_ranks(n, a, mu):
-    """Rank per degree of sum over S_mu of sgn(sigma) sigma.x^m, m of at most d pairs.
+def sign_projection_ranks(n, a, alpha, beta):
+    """Rank per degree of the projections of x^m onto 1 (x) sgn, m of at most d pairs.
 
-    Built literally from the group: each matching's signed images, evaluated
-    on every point of the locus, one column per matching.
+    The projection is the sum over S_alpha x S_beta of chi(sigma) sigma.x^m,
+    with chi(sigma) the sign of sigma on the blocks of beta.  Built literally
+    from the group: each matching's signed images, evaluated on every point
+    of the locus, one column per matching.
     """
-    group = list(young_subgroup(mu))
+    group = list(young_subgroup(alpha, beta))
     points = [frozenset(w.pairs) for w in involutions(n, a)]
     basis, ranks = [], []
     for d in range((n - a) // 2 + 1):
@@ -538,7 +701,8 @@ def sign_projection_ranks(n, a, mu):
     return tuple(ranks)
 
 
-def test_twisted_ranks_are_the_ranks_of_the_sign_projection():
+def test_mixed_ranks_are_the_ranks_of_the_projection_onto_the_sign():
+    systems = nonempty = 0
     for n, a in valid_params(6):
         top = (n - a) // 2
         expansion = graded_frobenius_width(n, a)
@@ -546,18 +710,23 @@ def test_twisted_ranks_are_the_ranks_of_the_sign_projection():
             lam: list(accumulate(coeff + (0,) * (top + 1 - len(coeff))))
             for lam, coeff in expansion.items()
         }
-        for mu, h_mu in kostka_rows(n).items():
-            got = _twisted_ranks(n, a, mu, matchings_of_size(mu, top, twisted=True))
-            assert got == sign_projection_ranks(n, a, mu), (n, a, mu)
-            # Young's rule under omega: e_mu is the sum of K(lambda', mu) s_lambda
-            assert got == tuple(
-                sum(h_mu.get(conjugate(lam), 0) * m[d] for lam, m in cumulative.items())
-                for d in range(top + 1)
-            )
+        for lam in partitions_of(n):
+            for alpha, beta in splits(lam):
+                got = mixed_ranks(n, a, alpha, beta)
+                assert got == sign_projection_ranks(n, a, alpha, beta), (n, a, alpha, beta)
+                # Young's rule on the mixed row, with the width route's multiplicities
+                row = _mixed_row(alpha, beta)
+                assert got == tuple(
+                    sum(row.get(rho, 0) * m[d] for rho, m in cumulative.items())
+                    for d in range(top + 1)
+                )
+                systems += 1
+                nonempty += got[-1] > 0
+    assert (systems, nonempty) == (346, 244)
 
 
 def reference_twisted_columns(n, a, mu, types):
-    """The twisted columns of each degree d, as {type m: column}, by walking subsets.
+    """The columns on the sign of S_mu of each degree d, as {type m: column}, by walking subsets.
 
     Each row is a point of its type: block by block, its letters are given
     to the type's classes in order, then to the unmatched letter.  On a row,
@@ -608,14 +777,10 @@ def reference_twisted_columns(n, a, mu, types):
     return out
 
 
-def test_twisted_entries_are_signed_products_of_type_counts(monkeypatch):
-    # every twisted system at n <= 9: per degree, the built columns are the
-    # reference columns, each up to one sign, and no column of either is empty
-    monkeypatch.setattr(
-        oracle,
-        "_saturated",
-        lambda n, a, mu, size, columns, what: [columns(d) for d in range((n - a) // 2 + 1)],
-    )
+def test_entries_at_k_zero_are_the_signed_subset_sums():
+    # every split k = 0 at n <= 9, whose blocks are all sign blocks: per
+    # degree, the built columns that are not empty are the reference columns,
+    # each up to one sign, and no reference column is empty
 
     def signed(column):
         """The column's entries, scaled so that the one on its first row is positive."""
@@ -626,13 +791,15 @@ def test_twisted_entries_are_signed_products_of_type_counts(monkeypatch):
     for n, a in valid_params(9):
         top = (n - a) // 2
         for mu in partitions_of(n):
-            types = matchings_of_size(mu, top, twisted=True)
+            types = matchings_of_size(mu, top, len(mu))
             want = reference_twisted_columns(n, a, mu, types)
-            for d, columns in enumerate(_twisted_ranks(n, a, mu, types)):
-                assert sorted(map(signed, columns)) == sorted(map(signed, want[d].values())), (
+            columns = _columns(mu, len(mu), top, types)
+            for d in range(top + 1):
+                got = [column for column in columns(d) if column]
+                assert sorted(map(signed, got)) == sorted(map(signed, want[d].values())), (
                     n, a, mu, d,
                 )
-                compared += len(columns)
+                compared += len(got)
     assert compared == 12725
 
 
