@@ -68,29 +68,33 @@ def count_involutions(n: int, a: int) -> int:
 
 
 def involutions(n: int, a: int) -> tuple[Involution, ...]:
-    """All involutions of 1..n with exactly a fixed points, deterministic order."""
+    """All involutions of 1..n with exactly a fixed points, deterministic order.
+
+    The first letter left is fixed first, then paired with each later letter
+    in turn.  One call places a run of fixed letters and the next pair, so
+    the recursion is as deep as the pairs are many, not the letters.
+    """
     check_locus_params(n, a)
     out: list[Involution] = []
-    pairs: list[tuple[int, int]] = []
-    fixed: list[int] = []
 
-    def build(rest: tuple[int, ...], fixed_left: int) -> None:
-        if fixed_left > len(rest):
+    def build(
+        rest: tuple[int, ...],
+        fixed_left: int,
+        fixed: tuple[int, ...],
+        pairs: tuple[tuple[int, int], ...],
+    ) -> None:
+        if fixed_left == len(rest):
+            out.append(Involution(n, pairs, fixed + rest))
             return
-        if not rest:
-            out.append(Involution(n, tuple(pairs), tuple(fixed)))
-            return
-        i, tail = rest[0], rest[1:]
-        if fixed_left:
-            fixed.append(i)
-            build(tail, fixed_left - 1)
-            fixed.pop()
-        for k in range(len(tail)):
-            pairs.append((i, tail[k]))
-            build(tail[:k] + tail[k + 1 :], fixed_left)
-            pairs.pop()
+        # the first m letters left are fixed and the next one is paired,
+        # the most fixed first: each letter is fixed before it is paired
+        for m in range(fixed_left, -1, -1):
+            i, now_fixed = rest[m], fixed + rest[:m]
+            for k in range(m + 1, len(rest)):
+                later = rest[m + 1 : k] + rest[k + 1 :]
+                build(later, fixed_left - m, now_fixed, pairs + ((i, rest[k]),))
 
-    build(tuple(range(1, n + 1)), a)
+    build(tuple(range(1, n + 1)), a, (), ())
     expected = count_involutions(n, a)
     if len(out) != expected:
         raise InvariantError(

@@ -33,12 +33,13 @@ at every mu gives every ungraded multiplicity.  Each F_d lies in F_top, so
 only the lambda that occur get a system, and each gets one: the split with
 the fewest rows, predicted from the ungraded multiplicities before any
 listing.  One Young's-rule solve on the chosen mixed rows gives every graded
-multiplicity, and Young's rule at mu = (1^n) the graded dimensions.  Each
-row and each (shape, part) strip list is built once per process and shared
-by every locus, and so is each count of orbit types.  `check basis`
-evaluates the candidates on the points of the locus, listed by
-`involutions(n, a)`; their columns are 0/1, and a full rank over GF(2)
-certifies them before any exact elimination.
+multiplicity, and the graded dimensions are that expansion under s_lambda ->
+f^lambda, the `hilbert_series` the formula routes use too.  Each row and
+each (shape, part) strip list is built once per process and shared by every
+locus, and so is each count of orbit types.  `check basis` evaluates the
+candidates on the points of the locus, listed by `involutions(n, a)`; their
+columns are 0/1, and a full rank over GF(2) certifies them before any exact
+elimination.
 
 Every list of types must be as long as its prediction, every rank must
 saturate at the number of its point types by the top degree, every row must
@@ -55,9 +56,8 @@ non-zero one as a pivot, keyed on its lowest row.
 from __future__ import annotations
 
 from functools import cache
-from itertools import repeat
 from math import comb, gcd, prod
-from operator import itemgetter, mul
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator
 
 from .errors import (
@@ -67,9 +67,10 @@ from .errors import (
     _is_int,
     check_locus_params,
 )
+from .frobenius import hilbert_series
 from .involutions import involutions
 from .partitions import Partition, conjugate, horizontal_strips_over, partitions_of
-from .schur import QPoly, SchurPoly, _add_into, _frozen, qp_normal, schur_json
+from .schur import QPoly, SchurPoly, qp_normal, schur_json
 from .tableaux import candidate_basis
 
 DEFAULT_SIZE_CAP = 6
@@ -293,18 +294,26 @@ def _columns(
     return columns
 
 
-def _saturated(
-    n: int, a: int, lam: Partition, k: int, size: int, columns: Callable[[int], Iterable[Column]]
-) -> tuple[int, ...]:
-    """Cumulative ranks of columns(0), columns(1), ... up to the top degree.
+def _ranks(n: int, a: int, lam: Partition, k: int, size: int) -> tuple[int, ...]:
+    """Cumulative ranks of lam's system at split k, degree 0 to the top.
 
-    The rank of lam's system at split k must reach the number of rows, `size`
-    point types, by the top degree; the columns of a degree are skipped once
-    it has.
+    The blocks are alpha = lam[:k], then beta = lam[k:]', the sign blocks.
+    The top-degree types are listed and must be `size`, as predicted; their
+    rows take the columns of each degree, and the rank must reach `size` by
+    the top degree.  The columns of a degree are skipped once it has.
     """
+    top = (n - a) // 2
+    alpha, beta = lam[:k], conjugate(lam[k:])
+    types = matchings_of_size(alpha + beta, top, len(beta))
+    if len(types) != size:
+        raise InvariantError(
+            f"{len(types)} top-degree types of n={n}, a={a}, lambda={lam}, k={k} "
+            f"listed, {size} predicted"
+        )
+    columns = _columns(alpha + beta, len(beta), top, types)
     basis: list[tuple[int, Column]] = []
     ranks: list[int] = []
-    for d in range((n - a) // 2 + 1):
+    for d in range(top + 1):
         if len(basis) < size:
             for col in columns(d):
                 if _reduce_column(col, basis) and len(basis) == size:
@@ -403,8 +412,10 @@ def _young_decomposition(
     return out
 
 
-def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
-    """The graded Frobenius expansion and the Hilbert series.
+def oracle_graded_frobenius(
+    n: int, a: int, *, size_cap: int | None = None
+) -> SchurPoly:
+    """Schur expansion of the graded conjugation action, by Young's rule.
 
     Young's rule on the top-degree type counts of every S_mu gives the
     ungraded multiplicities.  Each lambda that occurs then gets the split
@@ -425,7 +436,7 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
     mult = {lam: m for lam, (m,) in ungraded.items()}
     # omega swaps h and e, so <h_alpha e_beta, s_rho> = <h_beta e_alpha, s_rho'>:
     # a row is read in the order whose shorter side is conjugated
-    same, omega, weights = list(mult), [conjugate(lam) for lam in mult], list(mult.values())
+    omega = [conjugate(lam) for lam in mult]
     systems = {}
     for lam in mult:
         plans = []
@@ -434,24 +445,15 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
                 continue
             alpha, beta = lam[:k], conjugate(lam[k:])
             full, keys = (
-                (_mixed_row(alpha, beta), same)
+                (_mixed_row(alpha, beta), mult)
                 if len(alpha) >= len(beta)
                 else (_mixed_row(beta, alpha), omega)
             )
-            size = sum(map(mul, map(full.get, keys, repeat(0)), weights))
-            plans.append((size, k, full, keys))
-        size, k, full, keys = min(plans, key=itemgetter(0, 1))
-        # the row on the lambda that occur, the only ones that get a system
-        row = {rho: x for rho, key in zip(same, keys) if (x := full.get(key))}
-        alpha, beta = lam[:k], conjugate(lam[k:])
-        types = matchings_of_size(alpha + beta, top, len(beta))
-        if len(types) != size:
-            raise InvariantError(
-                f"{len(types)} top-degree types of n={n}, a={a}, lambda={lam}, k={k} "
-                f"listed, {size} predicted"
-            )
-        columns = _columns(alpha + beta, len(beta), top, types)
-        systems[lam] = (k, row, _saturated(n, a, lam, k, size, columns))
+            # the row on the lambda that occur, the only ones that get a system
+            row = {rho: x for rho, key in zip(mult, keys) if (x := full.get(key))}
+            plans.append((sum(x * mult[rho] for rho, x in row.items()), k, row))
+        size, k, row = min(plans, key=itemgetter(0, 1))
+        systems[lam] = (k, row, _ranks(n, a, lam, k, size))
     frobenius = _young_decomposition(systems)
     for lam, (k, _, _) in systems.items():
         if sum(frobenius.get(lam, ())) != mult[lam]:
@@ -459,23 +461,12 @@ def _oracle(n: int, a: int, size_cap: int | None) -> tuple[SchurPoly, QPoly]:
                 f"top-degree multiplicity {sum(frobenius.get(lam, ()))} of lambda={lam} "
                 f"at n={n}, a={a}, k={k} differs from its ungraded multiplicity {mult[lam]}"
             )
-    dims = _mixed_row((1,) * n, ())
-    acc: dict[Partition, list[int]] = {}
-    for lam, coeff in frobenius.items():
-        _add_into(acc, (), [dims[lam] * c for c in coeff])
-    return frobenius, _frozen(acc).get((), ())
+    return frobenius
 
 
 def graded_hilbert(n: int, a: int, *, size_cap: int | None = None) -> QPoly:
-    """Dimensions of the graded pieces, by Young's rule at (1^n)."""
-    return _oracle(n, a, size_cap)[1]
-
-
-def oracle_graded_frobenius(
-    n: int, a: int, *, size_cap: int | None = None
-) -> SchurPoly:
-    """Schur expansion of the graded conjugation action, by Young's rule."""
-    return _oracle(n, a, size_cap)[0]
+    """Dimensions of the graded pieces: the oracle's expansion under s_lambda -> f^lambda."""
+    return hilbert_series(oracle_graded_frobenius(n, a, size_cap=size_cap))
 
 
 def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dict:
@@ -487,7 +478,8 @@ def verify_monomial_basis(n: int, a: int, *, size_cap: int | None = None) -> dic
     are 0/1, so a full rank over GF(2) proves them independent; only a short
     one reruns the exact elimination, which alone decides a dependence.
     """
-    frobenius, hilbert = _oracle(n, a, size_cap)
+    frobenius = oracle_graded_frobenius(n, a, size_cap=size_cap)
+    hilbert = hilbert_series(frobenius)
     top = (n - a) // 2
     points = involutions(n, a)
     if len(points) != sum(hilbert):

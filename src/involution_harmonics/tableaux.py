@@ -206,25 +206,36 @@ def _tableau_pair(w: Involution) -> tuple[list[list[int]], Stripe]:
 def standard_tableaux(p: Partition) -> tuple[Rows, ...]:
     """All standard fillings of the shape, deterministic order.
 
+    Each entry goes to the first row with room for it, then to each later
+    one in turn.  The walk backtracks on a stack of its own, as deep as the
+    shape has boxes, not by recursion.
+
     The cache is unbounded: it keeps the fillings of every shape asked for,
     syt_count(p) of them each, for the life of the process.
     """
     n = sum(p)
     out: list[Rows] = []
     rows: list[list[int]] = [[] for _ in p]
-
-    def place(v: int) -> None:
-        if v > n:
+    # the row of each entry placed so far, 1 to len(path): the walk's own stack
+    path: list[int] = []
+    i = 0  # the first row to try for the next entry
+    while True:
+        if len(path) == n:
             out.append(tuple(tuple(r) for r in rows))
-            return
-        for i, row in enumerate(rows):
-            if len(row) < p[i] and (i == 0 or len(rows[i - 1]) > len(row)):
-                row.append(v)
-                place(v + 1)
-                row.pop()
-
-    place(1)
-    return tuple(out)
+            i = len(p)
+        # past the rows that are full or as long as the row above
+        while i < len(p) and (len(rows[i]) == p[i] or i and len(rows[i - 1]) == len(rows[i])):
+            i += 1
+        if i < len(p):
+            rows[i].append(len(path) + 1)
+            path.append(i)
+            i = 0
+        elif path:
+            i = path.pop()
+            rows[i].pop()
+            i += 1
+        else:
+            return tuple(out)
 
 
 def candidate_monomial(p: Rows, strip: Stripe) -> tuple[tuple[int, int], ...]:

@@ -51,6 +51,14 @@ def test_hilb_oracle_matches_formula_beyond_the_default_cap():
     assert out.stdout == '{"coeffs":[1,20,70,14]}\n'
 
 
+def test_enumerate_involutions_on_a_locus_past_the_recursion_limit():
+    # one point with 1200 fixed letters, more than the default recursion limit
+    out = run("enumerate", "involutions", "--n", "1200", "--a", "1200", "--format", "json")
+    assert out.returncode == 0
+    assert out.stderr == ""
+    assert json.loads(out.stdout)["count"] == 1
+
+
 def test_parameter_errors_exit_2():
     out = run("hilb", "--n", "4", "--a", "3")
     assert out.returncode == 2

@@ -98,6 +98,37 @@ def test_enumeration_is_complete():
             assert sorted(involution_mapping(w) for w in got) == sorted(want)
 
 
+def reference_involutions(n, a):
+    """The locus one letter per recursion level: the first letter left is
+    fixed first, then paired with each later letter in turn."""
+
+    def build(rest, fixed_left, pairs, fixed):
+        if fixed_left > len(rest):
+            return
+        if not rest:
+            yield Involution(n, pairs, fixed)
+            return
+        i, tail = rest[0], rest[1:]
+        if fixed_left:
+            yield from build(tail, fixed_left - 1, pairs, fixed + (i,))
+        for k in range(len(tail)):
+            yield from build(tail[:k] + tail[k + 1 :], fixed_left, pairs + ((i, tail[k]),), fixed)
+
+    return tuple(build(tuple(range(1, n + 1)), a, (), ()))
+
+
+def test_enumeration_order_is_the_letter_by_letter_order():
+    # `enumerate involutions` prints this order and `candidate_basis` follows it
+    for n in range(1, 10):
+        for a in range(n % 2, n + 1, 2):
+            assert involutions(n, a) == reference_involutions(n, a), (n, a)
+
+
+def test_enumeration_does_not_recurse_per_fixed_point():
+    # more letters than the interpreter's default recursion limit of 1000
+    assert involutions(1500, 1500) == (Involution(1500, (), tuple(range(1, 1501))),)
+
+
 def test_enumerated_points_are_already_normalized():
     # callers of involutions() trust its points without calling involution()
     for n in range(1, 10):

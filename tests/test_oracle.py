@@ -26,9 +26,8 @@ from involution_harmonics.oracle import (
     _count,
     _gf2_rank,
     _mixed_row,
-    _oracle,
+    _ranks,
     _reduce_column,
-    _saturated,
     _young_decomposition,
     graded_hilbert,
     matchings_of_size,
@@ -54,11 +53,8 @@ def splits(lam):
 
 def mixed_ranks(n, a, alpha, beta):
     """dim Hom_{S_alpha x S_beta}(1 (x) sgn, F_d) by exact elimination."""
-    top = (n - a) // 2
-    blocks = alpha + beta
-    types = matchings_of_size(blocks, top, len(beta))
-    columns = _columns(blocks, len(beta), top, types)
-    return _saturated(n, a, alpha + conjugate(beta), len(alpha), len(types), columns)
+    size = len(matchings_of_size(alpha + beta, (n - a) // 2, len(beta)))
+    return _ranks(n, a, alpha + conjugate(beta), len(alpha), size)
 
 
 def invariant_ranks(n, a, mu):
@@ -323,11 +319,11 @@ def test_oracle_raises_when_optimized_and_a_rank_falls_short():
 CHANGED_RANKS = (
     "import involution_harmonics.oracle as o\n"
     "from involution_harmonics.errors import InvariantError\n"
-    "real = o._saturated\n"
-    "def changed(n, a, lam, k, size, columns):\n"
-    "    ranks = real(n, a, lam, k, size, columns)\n"
+    "real = o._ranks\n"
+    "def changed(n, a, lam, k, size):\n"
+    "    ranks = real(n, a, lam, k, size)\n"
     "    return {ranks} if lam == (4,) else ranks\n"
-    "o._saturated = changed\n"
+    "o._ranks = changed\n"
 )
 
 
@@ -645,12 +641,12 @@ def test_oracle_solves_each_lambda_from_its_cheapest_split(monkeypatch):
     # splits, against 231 from the splits with no sign block
     calls = []
 
-    def spy(n, a, lam, k, size, columns, real=oracle._saturated):
+    def spy(n, a, lam, k, size, real=oracle._ranks):
         calls.append((lam, k, size))
-        return real(n, a, lam, k, size, columns)
+        return real(n, a, lam, k, size)
 
-    monkeypatch.setattr(oracle, "_saturated", spy)
-    occurring = _oracle(9, 3, 9)[0]
+    monkeypatch.setattr(oracle, "_ranks", spy)
+    occurring = oracle_graded_frobenius(9, 3, size_cap=9)
     assert sorted(lam for lam, _, _ in calls) == sorted(occurring)
     assert sum(size for _, _, size in calls) == 64
     assert any(0 < k < len(lam) for lam, k, _ in calls)

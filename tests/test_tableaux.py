@@ -3,6 +3,7 @@
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
+from collections import Counter
 
 import pytest
 from hypothesis import given, strategies as st
@@ -182,6 +183,38 @@ def test_standard_tableaux_counts():
             assert len(set(fillings)) == len(fillings)
             assert all(is_standard_on_content(t) for t in fillings)
             assert all(shape(t) == lam for t in fillings)
+
+
+def reference_standard_tableaux(p):
+    """Standard fillings one entry per recursion level: each entry goes to
+    the first row with room for it, then to each later one in turn."""
+    rows = [[] for _ in p]
+
+    def place(v):
+        if v > sum(p):
+            yield tuple(map(tuple, rows))
+            return
+        for i, row in enumerate(rows):
+            if len(row) < p[i] and (i == 0 or len(rows[i - 1]) > len(row)):
+                row.append(v)
+                yield from place(v + 1)
+                row.pop()
+
+    return tuple(place(1))
+
+
+def test_standard_tableaux_order_is_the_entry_by_entry_order():
+    # candidate_basis lists each stripe's monomials in this order
+    for n in range(10):
+        for lam in partitions_of(n):
+            assert standard_tableaux(lam) == reference_standard_tableaux(lam), lam
+
+
+def test_long_shapes_and_loci_do_not_recurse_per_entry():
+    # more entries than the interpreter's default recursion limit of 1000
+    assert standard_tableaux((1500,)) == ((tuple(range(1, 1501)),),)
+    assert standard_tableaux((1,) * 1500) == (tuple((v,) for v in range(1, 1501)),)
+    assert candidate_basis(1500, 1500) == [(0, ())]
 
 
 def partial_involutions(max_letters):
@@ -429,6 +462,18 @@ def test_candidate_monomial_rejects():
 def test_candidate_basis_small():
     assert candidate_basis(4, 0) == [(0, ()), (1, ((3, 4),)), (1, ((2, 4),))]
     assert candidate_basis(3, 1) == [(0, ()), (1, ((1, 3),)), (1, ((2, 3),))]
+
+
+def test_candidate_basis_at_no_fixed_point_is_the_one_fixed_point_basis_shifted():
+    # letter 2k is always paired on M(2k, 0), and its candidates never use
+    # letter 1: they are those of M(2k - 1, 1) with every letter raised by
+    # one, in another order from k = 2 on
+    for k in range(1, 7):
+        shifted = [
+            (d, tuple((i + 1, j + 1) for i, j in monomial))
+            for d, monomial in candidate_basis(2 * k - 1, 1)
+        ]
+        assert Counter(candidate_basis(2 * k, 0)) == Counter(shifted), k
 
 
 def test_candidate_basis_counts():
