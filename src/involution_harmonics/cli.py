@@ -17,12 +17,7 @@ import sys
 from functools import cache
 
 from .checks import check_bijections, check_formulas, check_width
-from .errors import (
-    InvalidParametersError,
-    ResourceLimitError,
-    check_degree_params,
-    check_locus_params,
-)
+from .errors import InvalidParametersError, ResourceLimitError, check_degree_params
 from .frobenius import (
     graded_frobenius_positive,
     graded_frobenius_signed,
@@ -30,12 +25,7 @@ from .frobenius import (
     hilbert_series,
 )
 from .involutions import involutions
-from .oracle import (
-    graded_hilbert,
-    oracle_graded_frobenius,
-    oracle_size_cap,
-    verify_monomial_basis,
-)
+from .oracle import oracle_graded_frobenius, oracle_size_cap, verify_monomial_basis
 from .schur import SchurPoly, schur_json, schur_terms
 from .stripes import (
     _row_width,
@@ -50,6 +40,15 @@ from .tableaux import _tableau_pair
 _UNCAPPED = "no size cap: the cost grows exponentially in n"
 _CAPPED = "at most --cap, else exit 3"
 _ORACLE_CAPPED = f"with --method oracle, {_CAPPED}; the other methods have {_UNCAPPED}"
+
+# the route of each --method of grfrob and hilb but "oracle", which alone takes --cap;
+# hilb's "formula" is the width route
+_ROUTES = {
+    "signed": graded_frobenius_signed,
+    "positive": graded_frobenius_positive,
+    "width": graded_frobenius_width,
+    "formula": graded_frobenius_width,
+}
 
 
 def _dumps(obj) -> str:
@@ -69,15 +68,6 @@ def _qp_text(coeff) -> str:
     return " + ".join(parts) if parts else "0"
 
 
-def _print_schur(f: SchurPoly, fmt: str) -> None:
-    if fmt == "json":
-        print(_dumps(schur_json(f)))
-        return
-    for lam, coeff in schur_terms(f):
-        name = "s[" + ",".join(map(str, lam)) + "]"
-        print(f"{name}: {_qp_text(coeff)}")
-
-
 def _ascii_path(steps) -> list[str]:
     heights = steps_heights(steps)
     lines = []
@@ -94,29 +84,26 @@ def _ascii_path(steps) -> list[str]:
     return lines
 
 
-def _cmd_grfrob(args) -> int:
-    routes = {
-        "signed": graded_frobenius_signed,
-        "positive": graded_frobenius_positive,
-        "width": graded_frobenius_width,
-    }
+def _frobenius(args) -> SchurPoly:
+    """The graded Schur expansion of the locus by the route --method names."""
     if args.method == "oracle":
-        f = oracle_graded_frobenius(args.n, args.a, size_cap=args.cap)
-    else:
-        f = routes[args.method](args.n, args.a)
-    _print_schur(f, args.format)
+        return oracle_graded_frobenius(args.n, args.a, size_cap=args.cap)
+    return _ROUTES[args.method](args.n, args.a)
+
+
+def _cmd_grfrob(args) -> int:
+    f = _frobenius(args)
+    if args.format == "json":
+        print(_dumps(schur_json(f)))
+        return 0
+    for lam, coeff in schur_terms(f):
+        print(f"s[{','.join(map(str, lam))}]: {_qp_text(coeff)}")
     return 0
 
 
 def _cmd_hilb(args) -> int:
-    if args.method == "oracle":
-        coeffs = graded_hilbert(args.n, args.a, size_cap=args.cap)
-    else:
-        coeffs = hilbert_series(graded_frobenius_width(args.n, args.a))
-    if args.format == "json":
-        print(_dumps({"coeffs": list(coeffs)}))
-    else:
-        print(_qp_text(coeffs))
+    coeffs = hilbert_series(_frobenius(args))
+    print(_dumps({"coeffs": list(coeffs)}) if args.format == "json" else _qp_text(coeffs))
     return 0
 
 
@@ -138,27 +125,25 @@ def _cmd_enumerate_stripes(args) -> int:
     n, a = args.n, args.a
     if args.d is not None:
         check_degree_params(n, a, args.d)
-    rows, paths = [], []
-    for s, degree in width_stripes(n, a):
-        if args.d is not None and degree != args.d:
-            continue
-        paths.append(stripe_steps(s))
-        rows.append(
+    chosen = [(s, d) for s, d in width_stripes(n, a) if args.d is None or d == args.d]
+    if args.format == "json":
+        rows = [
             {
                 "outer": list(s.outer),
                 "inner": list(s.inner),
-                "path": steps_to_string(paths[-1]),
+                "path": steps_to_string(stripe_steps(s)),
                 "width": n + a - 2 * degree,
                 "degree": degree,
             }
-        )
-    if args.format == "json":
+            for s, degree in chosen
+        ]
         print(_dumps({"n": n, "a": a, "stripes": rows}))
         return 0
-    for row, steps in zip(rows, paths):
+    for s, degree in chosen:
+        steps = stripe_steps(s)
         print(
-            f"{row['outer']} / {row['inner']}  path={row['path']}  "
-            f"width={row['width']}  degree={row['degree']}"
+            f"{list(s.outer)} / {list(s.inner)}  path={steps_to_string(steps)}  "
+            f"width={n + a - 2 * degree}  degree={degree}"
         )
         if args.ascii:
             for line in _ascii_path(steps):
@@ -167,7 +152,6 @@ def _cmd_enumerate_stripes(args) -> int:
 
 
 def _cmd_enumerate_involutions(args) -> int:
-    check_locus_params(args.n, args.a)
     rows = []
     histogram: dict[int, int] = {}
     for w in involutions(args.n, args.a):
@@ -230,21 +214,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    grfrob = sub.add_parser("grfrob", help="graded Schur expansion of the locus")
-    _add_locus_args(grfrob, _ORACLE_CAPPED)
-    grfrob.add_argument(
-        "--method",
-        choices=["signed", "positive", "width", "oracle"],
-        default="width",
-    )
-    grfrob.add_argument("--format", choices=["text", "json"], default="text")
-    grfrob.set_defaults(func=_cmd_grfrob)
-
-    hilb = sub.add_parser("hilb", help="graded dimension series of the locus")
-    _add_locus_args(hilb, _ORACLE_CAPPED)
-    hilb.add_argument("--method", choices=["formula", "oracle"], default="formula")
-    hilb.add_argument("--format", choices=["text", "json"], default="text")
-    hilb.set_defaults(func=_cmd_hilb)
+    for name, summary, methods, default, func in (
+        ("grfrob", "graded Schur expansion of the locus",
+         ["signed", "positive", "width", "oracle"], "width", _cmd_grfrob),
+        ("hilb", "graded dimension series of the locus",
+         ["formula", "oracle"], "formula", _cmd_hilb),
+    ):
+        locus = sub.add_parser(name, help=summary)
+        _add_locus_args(locus, _ORACLE_CAPPED)
+        locus.add_argument("--method", choices=methods, default=default)
+        locus.add_argument("--format", choices=["text", "json"], default="text")
+        locus.set_defaults(func=func)
 
     check = sub.add_parser("check", help="run a verification sweep")
     check_sub = check.add_subparsers(dest="what", required=True)

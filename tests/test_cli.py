@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 from involution_harmonics.cli import build_parser, main
+from involution_harmonics.frobenius import hilbert_series
 from involution_harmonics.involutions import count_involutions
 from involution_harmonics.oracle import graded_hilbert
 
@@ -49,6 +50,51 @@ def test_hilb_oracle_matches_formula_beyond_the_default_cap():
               "--format", "json")
     assert out.returncode == 0
     assert out.stdout == '{"coeffs":[1,20,70,14]}\n'
+
+
+def qp_from_text(text):
+    """The coefficients of a q-polynomial in the text format, such as 1 + 20*q + 70*q^2."""
+    coeffs = {}
+    for term in text.split(" + "):
+        c, q, d = re.fullmatch(r"(?:(\d+)\*?)?(q(?:\^(\d+))?)?", term).groups()
+        coeffs[int(d or bool(q))] = int(c or 1)
+    return tuple(coeffs.get(d, 0) for d in range(max(coeffs) + 1))
+
+
+def printed_terms(out, fmt):
+    """The graded Schur expansion grfrob printed, as {partition: coefficients}."""
+    if fmt == "json":
+        return {tuple(t["partition"]): tuple(t["coeffs"]) for t in json.loads(out)["terms"]}
+    terms = {}
+    for line in out.splitlines():
+        name, poly = line.split(": ")
+        terms[tuple(map(int, name[2:-1].split(",")))] = qp_from_text(poly)
+    return terms
+
+
+def printed_series(out, fmt):
+    """The graded dimensions hilb printed, as coefficients."""
+    return tuple(json.loads(out)["coeffs"]) if fmt == "json" else qp_from_text(out.strip())
+
+
+def test_hilb_prints_the_hilbert_series_of_what_grfrob_prints(capsys):
+    # in one process: hilb --method formula against grfrob --method width, and
+    # the oracle against itself, at every locus with n <= 8, in both formats
+    for n in range(1, 9):
+        for a in range(n % 2, n + 1, 2):
+            locus = ["--n", str(n), "--a", str(a)]
+            for fmt in ("text", "json"):
+                for grfrob_method, hilb_method, cap in (
+                    ("width", "formula", []),
+                    ("oracle", "oracle", ["--cap", "8"]),
+                ):
+                    argv = ["grfrob", *locus, "--method", grfrob_method, "--format", fmt, *cap]
+                    assert main(argv) == 0
+                    terms = printed_terms(capsys.readouterr().out, fmt)
+                    argv = ["hilb", *locus, "--method", hilb_method, "--format", fmt, *cap]
+                    assert main(argv) == 0
+                    series = printed_series(capsys.readouterr().out, fmt)
+                    assert series == hilbert_series(terms), (n, a, fmt, hilb_method)
 
 
 def test_enumerate_involutions_on_a_locus_past_the_recursion_limit():

@@ -653,6 +653,28 @@ def test_oracle_solves_each_lambda_from_its_cheapest_split(monkeypatch):
     assert sum(type_counts(occurring, 3).values()) == 231
 
 
+def test_each_plan_is_the_cheapest_of_all_splits(monkeypatch):
+    # each system's rows against the types listed at every split, those
+    # between equal parts too: this pins the equal-part skip, the omega read
+    # order and the row prediction against listing, not against themselves
+    calls = []
+
+    def spy(n, a, lam, k, size, real=oracle._ranks):
+        calls.append((n, a, lam, k, size))
+        return real(n, a, lam, k, size)
+
+    monkeypatch.setattr(oracle, "_ranks", spy)
+    for n, a in valid_params(11):
+        oracle_graded_frobenius(n, a, size_cap=11)
+    for n, a, lam, k, size in calls:
+        listed = [
+            len(matchings_of_size(alpha + beta, (n - a) // 2, len(beta)))
+            for alpha, beta in splits(lam)
+        ]
+        assert size == listed[k] == min(listed), (n, a, lam, k)
+    assert len(calls) == 221
+
+
 def young_subgroup(alpha, beta):
     """Each element of S_alpha x S_beta as a dict on letters 1..n, with its sign on beta."""
     blocks, start = [], 1

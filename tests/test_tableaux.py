@@ -4,12 +4,15 @@ import subprocess
 import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from itertools import combinations
 
 import pytest
 from hypothesis import given, strategies as st
 
 from involution_harmonics.errors import DomainViolationError
+from involution_harmonics.frobenius import graded_frobenius_width, hilbert_series
 from involution_harmonics.involutions import count_involutions, involutions
+from involution_harmonics.oracle import _reduce_column
 from involution_harmonics.partitions import (
     Stripe,
     conjugate,
@@ -474,6 +477,66 @@ def test_candidate_basis_at_no_fixed_point_is_the_one_fixed_point_basis_shifted(
             for d, monomial in candidate_basis(2 * k - 1, 1)
         ]
         assert Counter(candidate_basis(2 * k, 0)) == Counter(shifted), k
+
+
+def grevlex_standard_monomials(n, a, descending=False):
+    """The grevlex standard monomials of M(n, a), by an exact greedy on its points.
+
+    The variables are the x_ij, i < j, ordered x_12 > x_13 > ... > x_(n-1,n).
+    On the locus a monomial with two pairs that share a letter vanishes and
+    x_ij^2 = x_ij, so only matchings can be kept, and they are walked degree
+    by degree.  Within a degree they go from the grevlex-smallest up: m < m'
+    when the smallest variable in which they differ divides m.  A monomial is
+    kept when its 0/1 column on the points is independent of the kept ones,
+    by exact elimination.  A degree closes once it holds its Hilbert
+    coefficient: the greedy keeps exactly that many there, since the kept
+    columns of degree at most d span the functions of degree at most d.
+    With descending=True each degree is walked from its grevlex-largest down.
+    """
+    points = involutions(n, a)
+    columns = {}
+    for p, w in enumerate(points):
+        for d in range(len(w.pairs) + 1):
+            for sub in combinations(w.pairs, d):
+                columns.setdefault(sub, {})[p] = 1
+    smallest_first = sorted(((i, j) for j in range(2, n + 1) for i in range(1, j)), reverse=True)
+    basis, kept = [], []
+    for d, want in enumerate(hilbert_series(graded_frobenius_width(n, a))):
+        matchings = [w.pairs for w in involutions(n, n - 2 * d)]
+        matchings.sort(key=lambda m: [v not in m for v in smallest_first], reverse=descending)
+        closed = len(kept) + want
+        for m in matchings:
+            if len(kept) == closed:
+                break
+            if m in columns and _reduce_column(columns[m], basis):
+                kept.append((d, m))
+    return kept
+
+
+def grevlex_mismatches(min_n, max_n, descending=False):
+    """The loci with min_n <= n <= max_n whose candidate basis the greedy does not keep.
+
+    Returns them rather than asserting, so that a run under python -O checks too.
+    """
+    return [
+        (n, a)
+        for n in range(min_n, max_n + 1)
+        for a in range(n % 2, n + 1, 2)
+        if Counter(grevlex_standard_monomials(n, a, descending))
+        != Counter((d, tuple(sorted(m))) for d, m in candidate_basis(n, a))
+    ]
+
+
+def test_candidate_basis_is_the_grevlex_standard_monomial_basis():
+    # exact ranks, so equality and not a lower bound; CI runs n = 9 and 10
+    # through the same helper under python -O
+    assert grevlex_mismatches(1, 8) == []
+
+
+def test_the_grevlex_walk_order_matters():
+    # walked from the grevlex-largest down, the greedy keeps the candidates
+    # at only 9 of the 24 loci with n <= 8
+    assert len(grevlex_mismatches(1, 8, descending=True)) == 24 - 9
 
 
 def test_candidate_basis_counts():
