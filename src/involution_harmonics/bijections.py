@@ -23,12 +23,13 @@ from .errors import (
     InvariantError,
     check_degree_params,
 )
-from .partitions import Stripe, is_horizontal_stripe
+from .partitions import Stripe
 from .stripes import (
     Steps,
     _ascent_columns,
     _row_heights,
     _stripe_from_columns,
+    horizontal_stripe,
     in_nonnegative_family,
     in_stripe_family,
     in_width_family,
@@ -58,6 +59,7 @@ def detach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
     check_degree_params(n, a, d)
     if d == 0:
         raise InvalidParametersError("degree must be positive, nothing to detach at d=0")
+    s = horizontal_stripe(s)
     if not in_stripe_family(s, d):
         raise DomainViolationError(f"{s} is not a degree-{d} stripe")
     steps, m, _ = _lowest_points(s)
@@ -85,6 +87,7 @@ def attach_domino(s: Stripe, n: int, a: int, d: int) -> Stripe:
     check_degree_params(n, a, d)
     if d == 0:
         raise InvalidParametersError("degree must be positive, nothing to attach at d=0")
+    s = horizontal_stripe(s)
     if not in_stripe_family(s, d - 1):
         raise DomainViolationError(f"{s} is not a degree-{d - 1} stripe")
     steps, _, m = _lowest_points(s)
@@ -117,6 +120,7 @@ def to_width_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     stripe has even inner of size n - a and width exactly n - 2d + a.
     """
     check_degree_params(n, a, d)
+    s = horizontal_stripe(s)
     if not in_nonnegative_family(s, d):
         raise DomainViolationError(f"{s} is not a nonnegative degree-{d} stripe")
     _check_outer_size(s, n)
@@ -141,6 +145,7 @@ def to_nonnegative_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
     [1, n - 2d + a] that are not matched descents of the input path; the width
     hypothesis forces all of them inside the stored prefix.
     """
+    s = horizontal_stripe(s)
     if not in_width_family(s, n, a, d):
         raise DomainViolationError(f"{s} does not have width {n - 2 * d + a}")
     _check_outer_size(s, n)
@@ -160,13 +165,9 @@ def to_nonnegative_stripe(s: Stripe, n: int, a: int, d: int) -> Stripe:
 
 def last_lowest_point(s: Stripe) -> int:
     """x-coordinate of the last minimum of a horizontal stripe's prefix heights."""
-    if not is_horizontal_stripe(*s):
-        raise DomainViolationError(f"{s} is not a horizontal stripe")
-    return _lowest_points(s)[2]
+    return _lowest_points(horizontal_stripe(s))[2]
 
 
 def first_lowest_point(s: Stripe) -> int:
     """x-coordinate of the first minimum of a horizontal stripe's prefix heights."""
-    if not is_horizontal_stripe(*s):
-        raise DomainViolationError(f"{s} is not a horizontal stripe")
-    return _lowest_points(s)[1]
+    return _lowest_points(horizontal_stripe(s))[1]

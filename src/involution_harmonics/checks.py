@@ -34,7 +34,7 @@ from .stripes import (
     _row_heights,
     _row_width,
     _stripe_from_columns,
-    _stripes_over_even_inners,
+    degree_families,
     matched_pairs,
     stripe_steps,
     width_by_matching,
@@ -154,8 +154,8 @@ def _bijection_failures(kind: str, d: int, pairs: list[tuple[Stripe, Stripe]], t
 def check_bijections(max_n: int = 8) -> tuple[bool, list[str]]:
     """Both bijection pairs invert and exhaust their targets, degree by degree.
 
-    Each degree's family is built once, inner-first.  Each map's images are
-    compared with its target once per degree; a failure names outer shapes.
+    Each degree's family comes once from degree_families.  Each map's images
+    are compared with its target once per degree; a failure names outer shapes.
     """
     ok = True
     lines = []
@@ -166,9 +166,7 @@ def check_bijections(max_n: int = 8) -> tuple[bool, list[str]]:
         previous: list[Stripe] = []
         problems = []
         applications = 0
-        for d in range((n - a) // 2 + 1):
-            cap = n - 2 * d + a
-            family = _stripes_over_even_inners(2 * d, n - 2 * d, cap)
+        for d, cap, family in degree_families(n, a):
             domino, shadow = [], []
             for s in family:
                 if _row_heights(s)[1] >= 0:

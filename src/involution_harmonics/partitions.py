@@ -102,8 +102,13 @@ def even_partitions_of(n: int) -> tuple[Partition, ...]:
     return tuple(tuple(2 * x for x in p) for p in partitions_of(n // 2))
 
 
+@cache
 def syt_count(p: Partition) -> int:
-    """Number of standard fillings of the shape, by the hook length product."""
+    """Number of standard fillings of the shape, by the hook length product.
+
+    The cache is unbounded: it keeps the count of every shape asked for, one
+    int each, for the life of the process.
+    """
     conj = conjugate(p)
     hooks = prod(
         row - j + conj[j] - i - 1 for i, row in enumerate(p) for j in range(row)

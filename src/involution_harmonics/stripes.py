@@ -135,6 +135,18 @@ def _row_width(s: Stripe) -> int:
     return (outer[0] if outer else 0) + end - low
 
 
+def horizontal_stripe(s) -> Stripe:
+    """s as a Stripe, when it is an (outer, inner) pair forming a horizontal stripe.
+
+    Any 2-tuple is taken, a Stripe or a plain pair.  A tuple of any other
+    length, or a pair that is not a horizontal stripe, raises
+    DomainViolationError.  Every public map on stripes reads its stripe here.
+    """
+    if not (isinstance(s, tuple) and len(s) == 2 and is_horizontal_stripe(*s)):
+        raise DomainViolationError(f"{s} is not a horizontal stripe")
+    return Stripe(*s)
+
+
 def width(s: Stripe) -> int:
     """Horizontal extent of a horizontal stripe's matching; DomainViolationError if not.
 
@@ -142,9 +154,7 @@ def width(s: Stripe) -> int:
     than outer[0]: outer[0] + y(end) - min(y), as the y(end) - min(y) ascents
     still open at the end of the prefix close one tail step apiece.
     """
-    if not is_horizontal_stripe(*s):
-        raise DomainViolationError(f"{s} is not a horizontal stripe")
-    return _row_width(s)
+    return _row_width(horizontal_stripe(s))
 
 
 def width_by_matching(steps: Steps, pairs: list[tuple[int, int]]) -> int:
@@ -208,16 +218,28 @@ def _stripes_over_even_inners(
     return stripes
 
 
-def positive_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
-    """The positive formula's index set: each nonnegative stripe with its degree d.
+def degree_families(n: int, a: int) -> Iterator[tuple[int, int, list[Stripe]]]:
+    """Each degree d of the locus with its bound n - 2d + a and its family, d ascending.
 
-    Enumerates inner-first: per degree, every stripe over an even inner of
-    size 2d whose first part fits under n - 2d + a, a cap the enumerator
-    applies as it builds the outers, kept when its path never dips below 0.
+    The degree-d family is every stripe with an even inner of size 2d and
+    n - 2d boxes on top whose first part fits under the bound, a cap the
+    enumerator applies as it builds the outers.  The positive formula keeps
+    its nonnegative stripes; the bijection sweep maps every one of them.
     """
     check_locus_params(n, a)
     for d in range((n - a) // 2 + 1):
-        for s in _stripes_over_even_inners(2 * d, n - 2 * d, n - 2 * d + a):
+        bound = n - 2 * d + a
+        yield d, bound, _stripes_over_even_inners(2 * d, n - 2 * d, bound)
+
+
+def positive_stripes(n: int, a: int) -> Iterator[tuple[Stripe, int]]:
+    """The positive formula's index set: each nonnegative stripe with its degree d.
+
+    Reads degree_families inner-first and keeps each stripe whose path never
+    dips below 0.
+    """
+    for d, _, family in degree_families(n, a):
+        for s in family:
             if _row_heights(s)[1] >= 0:
                 yield s, d
 

@@ -22,16 +22,10 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from functools import cache
 
-from .errors import DomainViolationError, InvariantError
+from .errors import DomainViolationError, InvariantError, _is_int
 from .involutions import Involution, involution
-from .partitions import (
-    Partition,
-    Stripe,
-    _interlaces,
-    is_even_partition,
-    is_horizontal_stripe,
-)
-from .stripes import positive_stripes
+from .partitions import Partition, Stripe, _interlaces, is_even_partition
+from .stripes import horizontal_stripe, positive_stripes
 
 Rows = tuple[tuple[int, ...], ...]
 
@@ -41,11 +35,11 @@ def shape(t: Rows) -> Partition:
 
 
 def is_standard_on_content(t: Rows) -> bool:
-    """Distinct entries, rows non-empty, rows and columns strictly increasing."""
+    """Distinct int entries (not bools), rows non-empty, rows and columns strictly increasing."""
     if not all(t):
         return False
     entries = [x for row in t for x in row]
-    if len(set(entries)) != len(entries):
+    if not all(map(_is_int, entries)) or len(set(entries)) != len(entries):
         return False
     for row in t:
         if any(row[i] >= row[i + 1] for i in range(len(row) - 1)):
@@ -206,36 +200,24 @@ def _tableau_pair(w: Involution) -> tuple[list[list[int]], Stripe]:
 def standard_tableaux(p: Partition) -> tuple[Rows, ...]:
     """All standard fillings of the shape, deterministic order.
 
-    Each entry goes to the first row with room for it, then to each later
-    one in turn.  The walk backtracks on a stack of its own, as deep as the
-    shape has boxes, not by recursion.
+    Built level by level from the one empty filling: entry x extends every
+    filling of 1 .. x-1 at the end of each row with room for it, shorter than
+    its row of p and than the row above, first row first.  The fillings come
+    lexicographic in the rows that hold 1, 2, ...; no recursion, and no level
+    holds more fillings than the last, since every partial filling completes.
 
     The cache is unbounded: it keeps the fillings of every shape asked for,
     syt_count(p) of them each, for the life of the process.
     """
-    n = sum(p)
-    out: list[Rows] = []
-    rows: list[list[int]] = [[] for _ in p]
-    # the row of each entry placed so far, 1 to len(path): the walk's own stack
-    path: list[int] = []
-    i = 0  # the first row to try for the next entry
-    while True:
-        if len(path) == n:
-            out.append(tuple(tuple(r) for r in rows))
-            i = len(p)
-        # past the rows that are full or as long as the row above
-        while i < len(p) and (len(rows[i]) == p[i] or i and len(rows[i - 1]) == len(rows[i])):
-            i += 1
-        if i < len(p):
-            rows[i].append(len(path) + 1)
-            path.append(i)
-            i = 0
-        elif path:
-            i = path.pop()
-            rows[i].pop()
-            i += 1
-        else:
-            return tuple(out)
+    level: list[Rows] = [((),) * len(p)]
+    for x in range(1, sum(p) + 1):
+        level = [
+            t[:i] + (t[i] + (x,),) + t[i + 1 :]
+            for t in level
+            for i, row in enumerate(t)
+            if len(row) < p[i] and (i == 0 or len(row) < len(t[i - 1]))
+        ]
+    return tuple(level)
 
 
 def candidate_monomial(p: Rows, strip: Stripe) -> tuple[tuple[int, int], ...]:
@@ -248,10 +230,9 @@ def candidate_monomial(p: Rows, strip: Stripe) -> tuple[tuple[int, int], ...]:
     then has even columns, and reads the matched pairs off its symmetric
     preimage: a sorted tuple of disjoint (i, j), i < j, one per degree.
     """
+    strip = horizontal_stripe(strip)
     if shape(p) != strip.outer:
         raise DomainViolationError(f"tableau shape {shape(p)} is not {strip.outer}")
-    if not is_horizontal_stripe(strip.outer, strip.inner):
-        raise DomainViolationError(f"{strip} is not a horizontal stripe")
     if not is_even_partition(strip.inner):
         raise DomainViolationError(f"inner shape {strip.inner} is not even")
     if not is_standard_on_content(p):

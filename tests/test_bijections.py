@@ -28,9 +28,11 @@ def valid_triples(max_n, min_d=0):
 def test_detach_worked_example():
     s = Stripe((17, 14, 13, 8, 3, 2), (14, 14, 12, 6, 2))
     assert first_lowest_point(s) == 12
+    assert first_lowest_point(tuple(s)) == 12  # a plain (outer, inner) pair
     image = detach_domino(s, 57, 9, 24)
     assert image == Stripe((17, 14, 13, 8, 3, 2), (14, 14, 10, 6, 2))
     assert last_lowest_point(image) == 10
+    assert last_lowest_point(tuple(image)) == 10
     assert attach_domino(image, 57, 9, 24) == s
 
 
@@ -97,6 +99,21 @@ def test_shadow_domain_errors():
         to_nonnegative_stripe(Stripe((2,), (0,)), 2, 2, 0)
     with pytest.raises(DomainViolationError):
         to_width_stripe(Stripe((4, 4), (4, 0)), 8, 0, 2)
+
+
+def test_maps_take_a_plain_pair_and_reject_other_lengths():
+    # the worked examples, each stripe given as a plain (outer, inner) pair
+    cases = [
+        (detach_domino, Stripe((2, 2), (2, 2)), 4, 0, 2),
+        (attach_domino, Stripe((2, 2), (2,)), 4, 0, 2),
+        (to_width_stripe, Stripe((4,), ()), 4, 2, 0),
+        (to_nonnegative_stripe, Stripe((4,), (2,)), 4, 2, 0),
+    ]
+    for fn, s, n, a, d in cases:
+        assert fn(tuple(s), n, a, d) == fn(s, n, a, d)
+        for bad in [(s.outer,), (*s, s.inner)]:
+            with pytest.raises(DomainViolationError, match="not a horizontal stripe$"):
+                fn(bad, n, a, d)
 
 
 def test_shadow_maps_reject_every_outer_size_but_n():
@@ -203,15 +220,15 @@ def test_check_bijections_fails_when_a_family_goes_missing(
 ):
     # an emptied family maps nothing, so the sweep sees it only as target
     # stripes that no image reaches: one degree lower, or in the width family
-    real = checks._stripes_over_even_inners
+    real = checks.degree_families
 
-    def dropped(inner_size, added, max_first_part=None):
-        stripes = real(inner_size, added, max_first_part)
-        if (inner_size, added) == (2 * d, n - 2 * d):
-            stripes = [s for s in stripes if s.outer != outer]
-        return stripes
+    def dropped(n_, a_):
+        for d_, bound, family in real(n_, a_):
+            if d_ == d:
+                family = [s for s in family if s.outer != outer]
+            yield d_, bound, family
 
-    monkeypatch.setattr(checks, "_stripes_over_even_inners", dropped)
+    monkeypatch.setattr(checks, "degree_families", dropped)
     ok, lines = checks.check_bijections(n)
     assert ok is False
     assert expected in lines

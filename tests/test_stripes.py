@@ -20,6 +20,7 @@ from involution_harmonics.stripes import (
     _row_heights,
     _row_width,
     _stripe_from_columns,
+    degree_families,
     in_nonnegative_family,
     in_stripe_family,
     in_width_family,
@@ -74,6 +75,7 @@ def test_small_width():
     s = Stripe((4,), (2,))
     assert steps_to_string(stripe_steps(s)) == "SSNN"
     assert width(s) == 6
+    assert width(((4,), (2,))) == 6  # a plain (outer, inner) pair
     assert width(Stripe((2, 2), (2,))) == 4
     assert width(Stripe((), ())) == 0
 
@@ -83,6 +85,8 @@ NOT_HORIZONTAL = [
     Stripe((2,), (3,)),  # inner not inside outer
     Stripe((1, 2), ()),  # outer not a partition
     Stripe((0, 0), (0,)),  # zero parts
+    ((1,),),  # one shape, not an (outer, inner) pair
+    ((1,), (1,), (1,)),  # three shapes
 ]
 
 
@@ -97,6 +101,18 @@ def test_width_rejects_a_shape_that_is_not_a_horizontal_stripe(s):
 def test_lowest_points_reject_a_shape_that_is_not_a_horizontal_stripe(lowest_point, s):
     with pytest.raises(DomainViolationError, match="not a horizontal stripe"):
         lowest_point(s)
+
+
+def test_degree_families_are_the_outer_first_families():
+    for n, a in valid_params(10):
+        degrees = []
+        for d, bound, family in degree_families(n, a):
+            degrees.append(d)
+            assert bound == n - 2 * d + a
+            assert set(family) == {
+                s for outer in partitions_of(n, max_first_part=bound) for s in stripe_family(outer, d)
+            }
+        assert degrees == list(range((n - a) // 2 + 1))
 
 
 def steps_from_string(text):

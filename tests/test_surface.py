@@ -40,10 +40,22 @@ SMALL_STRIPES = [
     for outer in partitions_of(m)
     for inner in stripe_inners(outer)
 ]
-stripes = st.one_of(st.builds(Stripe, shapes, shapes), st.sampled_from(SMALL_STRIPES))
+# Stripes, plain (outer, inner) pairs of them, and tuples of one or three shapes
+stripes = st.one_of(
+    st.builds(Stripe, shapes, shapes),
+    st.sampled_from(SMALL_STRIPES),
+    st.sampled_from(SMALL_STRIPES).map(tuple),
+    st.tuples(shapes, shapes),
+    st.tuples(shapes),
+    st.tuples(shapes, shapes, shapes),
+)
 SMALL_TABLEAUX = [t for m in range(7) for lam in partitions_of(m) for t in standard_tableaux(lam)]
+# entries: ints, and floats and bools that order like them
+entries = st.one_of(ints, st.floats(-2, 9), st.booleans())
 tableaux = st.one_of(
-    st.lists(int_tuples, max_size=4).map(tuple), st.sampled_from(SMALL_TABLEAUX)
+    st.lists(int_tuples, max_size=4).map(tuple),
+    st.lists(st.lists(entries, max_size=4).map(tuple), max_size=4).map(tuple),
+    st.sampled_from(SMALL_TABLEAUX),
 )
 pairs = st.lists(st.tuples(ints, ints), max_size=4).map(tuple)
 position_sets = st.one_of(

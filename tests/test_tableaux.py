@@ -284,6 +284,10 @@ def test_rsk_symmetric_inverse_rejects():
         rsk_symmetric_inverse(((2, 2),))  # not standard on its content
     with pytest.raises(DomainViolationError):
         rsk_symmetric_inverse(((),))  # an empty row is no tableau row
+    # a bool or a float orders like an int, but no letter is one
+    for p in [((True,), (2,)), ((1.0,), (2,))]:
+        with pytest.raises(DomainViolationError, match="^tableau must be standard on its content$"):
+            rsk_symmetric_inverse(p)
 
 
 def test_matrix_validation():
@@ -442,13 +446,15 @@ def test_candidate_monomial_values():
     assert candidate_monomial(((1, 2), (3, 4)), Stripe((2, 2), (2,))) == ((3, 4),)
     assert candidate_monomial(((1, 3), (2, 4)), Stripe((2, 2), (2,))) == ((2, 4),)
     assert candidate_monomial(((1, 2, 3, 4),), Stripe((4,), ())) == ()
+    assert candidate_monomial(((1, 2), (3, 4)), ((2, 2), (2,))) == ((3, 4),)  # a plain pair
 
 
 def test_candidate_monomial_rejects():
     with pytest.raises(DomainViolationError, match=r"^tableau shape \(2,\) is not \(3,\)$"):
         candidate_monomial(((1, 2),), Stripe((3,), (1,)))
-    with pytest.raises(DomainViolationError, match="is not a horizontal stripe$"):
-        candidate_monomial(((1, 2), (3, 4)), Stripe((2, 2), ()))
+    for strip in [Stripe((2, 2), ()), ((2, 2),), ((2, 2), (2,), (2,))]:
+        with pytest.raises(DomainViolationError, match="is not a horizontal stripe$"):
+            candidate_monomial(((1, 2), (3, 4)), strip)
     with pytest.raises(DomainViolationError, match=r"^inner shape \(1,\) is not even$"):
         candidate_monomial(((1, 2, 3),), Stripe((3,), (1,)))
     # not standard on their content
@@ -456,6 +462,9 @@ def test_candidate_monomial_rejects():
         (((2, 1),), Stripe((2,), ())),
         (((1, 2, 4, 3),), Stripe((4,), (2,))),
         (((1, 2), (4, 3)), Stripe((2, 2), (2,))),
+        # entries that order like ints but are not
+        (((1.0, 2),), Stripe((2,), (2,))),
+        (((False, 2),), Stripe((2,), (2,))),
     ]:
         message = "^tableau must be standard on its content$"
         with pytest.raises(DomainViolationError, match=message):
